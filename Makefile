@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-skyline bench-smoke bench-check bench-sweep bench-sweep-smoke cover fuzz fuzz-smoke lint lint-fast lint-eps e2e e2e-smoke experiments examples clean
+.PHONY: all build test race svcbench-test bench bench-skyline bench-smoke bench-check bench-sweep bench-sweep-smoke cover fuzz fuzz-smoke lint lint-fast lint-eps e2e e2e-smoke experiments examples clean
 
 # The longitudinal benchmark history: every `make bench` / `make
 # bench-skyline` run appends its report here (with git SHA, cores,
@@ -48,6 +48,13 @@ test:
 
 race:
 	go test -race ./...
+
+# The service benchmark is its own module (svcbench/go.mod replaces repro
+# with this checkout), so the ./... targets above never build it. Vet and
+# race-test it offline so a public-API change that breaks the benchmark
+# fails here rather than in the benchmark run (about 15 s).
+svcbench-test:
+	cd svcbench && export GOPROXY=off GOWORK=off GOFLAGS=-mod=readonly && go vet ./... && go test -race ./...
 
 # The engine report runs twice: once at the default worker count
 # (GOMAXPROCS — the multi-core configuration this machine actually

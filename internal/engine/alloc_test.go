@@ -175,7 +175,7 @@ func TestEngineDifferentialFuzzSeeds(t *testing.T) {
 // updatePassHarness drives runUpdatePass the way Update does — wiggle a
 // fixed mover set by a tiny repairable slide, mark the dirty
 // neighborhoods, run the batched pass, reset the per-pass tables —
-// without the snapshot copy, so the tests below pin the cell-batching and
+// without publishing a View, so the tests below pin the cell-batching and
 // chunked-claiming machinery alone.
 type updatePassHarness struct {
 	e         *Engine
@@ -201,7 +201,7 @@ func newUpdatePassHarness(t *testing.T, workers, n, k int) *updatePassHarness {
 		movedMark: make([]bool, len(nodes)),
 	}
 	for u := range nodes {
-		if len(e.nbrs[u]) > 0 {
+		if len(e.out.nbrs(u)) > 0 {
 			h.movers = append(h.movers, u)
 			if len(h.movers) == k {
 				break
@@ -221,13 +221,14 @@ func newUpdatePassHarness(t *testing.T, workers, n, k int) *updatePassHarness {
 func (h *updatePassHarness) pass() error {
 	e := h.e
 	clear(h.dirty)
-	cand := e.updCand[:len(e.nodes)]
+	cand := e.updCand[:e.out.n]
 	for _, m := range h.movers {
-		e.nodes[m].Pos.X += 1e-9
-		e.grid.Move(m, e.nodes[m].Pos)
+		e.out.own(m)
+		e.out.node(m).Pos.X += 1e-9
+		e.grid.Move(m, e.out.node(m).Pos)
 		h.dirty[m] = true
 		h.movedMark[m] = true
-		for _, v := range e.nbrs[m] {
+		for _, v := range e.out.nbrs(m) {
 			h.dirty[v] = true
 			cand[v] = append(cand[v], m)
 		}

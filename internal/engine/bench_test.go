@@ -141,6 +141,44 @@ func BenchmarkEngineUpdateKinetic(b *testing.B) {
 	}
 }
 
+// BenchmarkMove measures one pure-mobility pass through Move at 100k
+// nodes: k random nodes slide by ≤2% of their radius. k=20 is one batch of
+// the mldcsd mobility-100k service workload, k=320 a full coalesced group
+// of 16 such batches. B/op is dominated by publishing: the copied pages of
+// the dirty nodes plus the page directory.
+func BenchmarkMove(b *testing.B) {
+	const n = 100000
+	nodes, _, err := benchDeployment(n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(Config{Workers: 1})
+	if _, err := e.Compute(nodes); err != nil {
+		b.Fatal(err)
+	}
+	cur := append([]network.Node(nil), nodes...)
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range []int{20, 320} {
+		b.Run(fmt.Sprintf("movers=%d", k), func(b *testing.B) {
+			moved := make([]network.Node, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range moved {
+					u := rng.Intn(n)
+					step := 0.02 * cur[u].Radius
+					cur[u].Pos.X += (rng.Float64()*2 - 1) * step
+					cur[u].Pos.Y += (rng.Float64()*2 - 1) * step
+					moved[j] = cur[u]
+				}
+				if _, err := e.Move(moved); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchReportEntry is one workload's row in BENCH_engine.json. The
 // node_p* fields are the per-node skyline recompute latency distribution
 // (in microseconds) observed across the workload's engine passes — the

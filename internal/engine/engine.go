@@ -5,8 +5,10 @@
 // needs: neighbor discovery through a shared spatial grid, a worker pool
 // sharded over grid cells with per-worker scratch buffers, a skyline cache
 // keyed by a canonical neighborhood fingerprint so bit-identical local
-// sets are solved once, and an incremental recompute path that only redoes
-// the neighborhoods a movement step actually dirtied.
+// sets are solved once, and an incremental path (Move) that only redoes the
+// neighborhoods a movement step actually dirtied. Every pass publishes an
+// immutable copy-on-write View (view.go) whose cost is proportional to the
+// nodes the pass touched, not to the network.
 //
 // The engine is observationally equivalent to the sequential per-node
 // loop (network.Build + Graph.LocalSet + mldcs.Solve for every node): the
@@ -99,23 +101,19 @@ type Stats struct {
 	Steals          int
 }
 
-// Result is a snapshot of the engine's per-node output. The top-level
-// slices are fresh per snapshot; the per-node sub-slices are shared with
-// the engine (and with later snapshots for nodes that did not change) and
-// must not be modified.
-//
-// A Result is immutable once returned, so it may be published (e.g.
-// through an atomic.Pointer) and read concurrently while the engine keeps
-// computing — this is the epoch-snapshot read path mldcsd serves queries
-// from. Later passes replace per-node sub-slices, never write through
-// them, so an old snapshot stays internally consistent forever.
+// Result is a flat rendering of a View (View.Result): fresh top-level
+// slices whose per-node sub-slices are shared with the engine (and with
+// later Views and Results for nodes that did not change) and must not be
+// modified. Later passes replace per-node sub-slices, never write through
+// them, so a Result stays internally consistent forever and may be read
+// concurrently while the engine keeps computing.
 //
 //mldcs:immutable
 type Result struct {
 	// Epoch numbers the pass that produced this snapshot: 1 for the first
-	// successful Compute, incremented by every later Compute or Update.
-	// Two snapshots with the same Epoch are identical; a reader holding a
-	// sequence of snapshots can assert monotonicity.
+	// successful Compute, incremented by every later Compute, Update or
+	// Move. Two snapshots with the same Epoch are identical; a reader
+	// holding a sequence of snapshots can assert monotonicity.
 	Epoch uint64
 	// Forwarding[u] holds the sorted IDs of u's forwarding set: the
 	// neighbors whose disks contribute arcs to u's skyline (the paper's
@@ -134,16 +132,15 @@ type Result struct {
 // Engine computes and maintains forwarding sets for a whole network. An
 // Engine is not safe for concurrent use; it parallelizes internally.
 type Engine struct {
-	cfg   Config
-	nodes []network.Node
-	grid  *spatial.Grid
-	fwd   [][]int
-	hubIn []bool
-	nbrs  [][]int
+	cfg  Config
+	grid *spatial.Grid
+	// out holds every node's disk and outputs (view.go); view is the last
+	// View published from it.
+	out   pageStore
+	view  *View
 	cache *skyCache
 	stats Stats
-	// epoch counts successful Compute/Update passes; snapshot stamps it
-	// into Result.Epoch.
+	// epoch counts successful passes; publish stamps it into View.Epoch.
 	epoch uint64
 	// fallbacks counts degeneracy fallbacks within the current pass;
 	// atomic because computeNode runs on the worker pool.
@@ -157,12 +154,16 @@ type Engine struct {
 	// patches in place instead of recomputing. Entry u is only ever
 	// touched by the worker that owns node u in the current pass.
 	kin []kinState
-	// Update's diff buffers, reused across calls so a steady mobility loop
-	// does not re-allocate the moved/dirty bookkeeping every step.
+	// Move's bookkeeping, reused across calls so a steady mobility loop
+	// does not re-allocate it every step: the moved IDs with their
+	// pre-pass states, the dirty marks and list (marks reset entry-wise),
+	// the moved marks, and Update's diff buffer.
 	updMoved     []int
+	updPrev      []network.Node
 	updDirty     []bool
 	updList      []int
 	updMovedMark []bool
+	updIn        []network.Node
 	// updCand[v] lists the moved nodes that may have changed v's link set
 	// this pass (possibly with duplicates): filled alongside the dirty
 	// marking, consumed by updateNode's repair gather — which therefore
@@ -213,7 +214,7 @@ var checkInvariants = func(sl skyline.Skyline, n int) error {
 // enabled, persists across Compute and Update calls, so recomputing a
 // relabeled copy of a network hits it wholesale.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg}
+	e := &Engine{cfg: cfg, view: &View{}}
 	if cfg.Cache {
 		e.cache = newSkyCache()
 	}
@@ -223,8 +224,18 @@ func New(cfg Config) *Engine {
 // Compute runs the full whole-network pass: index the nodes in a spatial
 // grid, then solve every node's MLDCS, sharding the grid's cells over the
 // worker pool. Node IDs must equal their slice positions and radii must be
-// positive (as in network.Build). The nodes slice is copied.
+// positive (as in network.Build). The nodes slice is copied. It returns
+// the flat rendering of the View the pass published (see View).
 func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
+	v, err := e.computeView(nodes)
+	if err != nil {
+		return nil, err
+	}
+	return v.Result(), nil
+}
+
+// computeView is Compute's pass, publishing a View.
+func (e *Engine) computeView(nodes []network.Node) (*View, error) {
 	m := engInstr.Load()
 	start := time.Now()
 
@@ -240,10 +251,7 @@ func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
 			maxR = n.Radius
 		}
 	}
-	e.nodes = append(e.nodes[:0], nodes...)
-	e.fwd = make([][]int, len(nodes))
-	e.hubIn = make([]bool, len(nodes))
-	e.nbrs = make([][]int, len(nodes))
+	e.out.reset(nodes)
 	e.grid = nil
 	e.stats = Stats{Nodes: len(nodes)}
 	e.fallbacks.Store(0)
@@ -259,8 +267,7 @@ func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
 	}
 
 	if len(nodes) == 0 {
-		e.epoch++
-		return e.snapshot(), nil
+		return e.publish(), nil
 	}
 	cell := e.cfg.CellSize
 	if cell <= 0 {
@@ -308,11 +315,11 @@ func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
 	hits1, misses1 := e.cache.counts()
 	e.stats.CacheHits = hits1 - hits0
 	e.stats.CacheMisses = misses1 - misses0
-	for _, nb := range e.nbrs {
-		e.stats.Edges += len(nb)
+	for u := range nodes {
+		e.stats.Edges += len(e.out.nbrs(u))
 	}
 
-	e.epoch++
+	v := e.publish()
 	if m != nil {
 		m.recordCompute(e.stats, time.Since(start), e.cache)
 	}
@@ -323,26 +330,24 @@ func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
 			"workers": e.stats.Workers,
 		})
 	}
-	return e.snapshot(), nil
+	return v, nil
 }
 
-// snapshot builds a Result view of the engine's current state. Top-level
-// slices are copied so later Updates do not mutate the snapshot; per-node
-// slices are replaced (never written through) by Update, so shared
-// sub-slices stay consistent.
-func (e *Engine) snapshot() *Result {
-	return &Result{
-		Epoch:      e.epoch,
-		Forwarding: append([][]int(nil), e.fwd...),
-		HubInCover: append([]bool(nil), e.hubIn...),
-		Neighbors:  append([][]int(nil), e.nbrs...),
-		Stats:      e.stats,
-	}
+// publish ends a successful pass: it numbers the epoch and freezes the
+// store into the View every later accessor returns.
+func (e *Engine) publish() *View {
+	e.epoch++
+	e.view = e.out.publish(e.epoch, e.stats)
+	return e.view
 }
 
-// Result returns a snapshot of the engine's current per-node output (the
-// same view the last Compute or Update returned).
-func (e *Engine) Result() *Result { return e.snapshot() }
+// View returns the View the last successful pass published (an empty
+// View before the first Compute).
+func (e *Engine) View() *View { return e.view }
+
+// Result returns the flat rendering of the last published View (the same
+// content the last Compute or Update returned).
+func (e *Engine) Result() *Result { return e.view.Result() }
 
 // CacheLen returns the number of distinct neighborhood fingerprints
 // currently cached (0 when the cache is disabled).
@@ -424,20 +429,21 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 		//mldcslint:allow hotpathalloc span begin runs only with instrumentation attached; TestComputeNodeInstrumentedAllocs bounds it
 		nodeSpan = m.spanNode.Begin()
 	}
-	hub := e.nodes[u]
+	hub := *e.out.node(u)
 	sc.ids = sc.ids[:0]
 	//mldcslint:allow hotpathalloc closure does not escape VisitWithin, so it stays on the stack; TestComputeNodeSteadyStateAllocs pins the pass at zero
 	e.grid.VisitWithin(hub.Pos, hub.Radius, func(v int) {
 		if v == u {
 			return
 		}
-		if !geom.Reaches(e.nodes[v].Pos, hub.Pos, e.nodes[v].Radius) {
+		if nv := e.out.node(v); !geom.Reaches(nv.Pos, hub.Pos, nv.Radius) {
 			return // v cannot reach back
 		}
 		sc.ids = append(sc.ids, v)
 	})
 	sort.Ints(sc.ids)
-	e.nbrs[u] = keepInts(e.nbrs[u], sc.ids)
+	pg, slot := e.out.at(u)
+	pg.nbrs[slot] = keepInts(pg.nbrs[slot], sc.ids)
 
 	// Canonical ordering: neighbors in the hub frame sorted by their raw
 	// coordinate bits. The order is independent of node IDs and of the
@@ -450,7 +456,7 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 	// representative the per-node solver would.
 	sc.tuples = sc.tuples[:0]
 	for _, v := range sc.ids {
-		d := e.nodes[v].Disk().Translate(hub.Pos)
+		d := e.out.node(v).Disk().Translate(hub.Pos)
 		sc.tuples = append(sc.tuples, nbTuple{
 			xb:   math.Float64bits(d.C.X),
 			yb:   math.Float64bits(d.C.Y),
@@ -484,8 +490,8 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 			e.kin[u].valid = false
 			sc.fwdBuf = appendMappedCover(sc.fwdBuf[:0], ent.canon, sc.tuples)
 			sc.fwdBuf = mutateForwarding(sc.fwdBuf, u)
-			e.fwd[u] = keepInts(e.fwd[u], sc.fwdBuf)
-			e.hubIn[u] = ent.hubIn
+			pg.fwd[slot] = keepInts(pg.fwd[slot], sc.fwdBuf)
+			pg.hubIn[slot] = ent.hubIn
 			if nodeSpan.Sampled() {
 				//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
 				nodeSpan.End(map[string]any{"node": u, "neighbors": len(sc.ids), "cached": true})
@@ -543,8 +549,8 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 	}
 	sc.fwdBuf = appendMappedCover(sc.fwdBuf[:0], sc.canon, sc.tuples)
 	sc.fwdBuf = mutateForwarding(sc.fwdBuf, u)
-	e.fwd[u] = keepInts(e.fwd[u], sc.fwdBuf)
-	e.hubIn[u] = hubIn
+	pg.fwd[slot] = keepInts(pg.fwd[slot], sc.fwdBuf)
+	pg.hubIn[slot] = hubIn
 	if shard != nil {
 		// The entry outlives the scratch buffers, so it owns its canon copy
 		// (arena-backed); put itself copies the key. Misses are the only
@@ -660,11 +666,12 @@ func tupleLess(a, b *nbTuple) bool {
 // neighborhood must not replay a degenerate answer.
 func (e *Engine) fallbackNode(u int, cause error) {
 	e.kin[u].valid = false
-	e.fwd[u] = append([]int(nil), e.nbrs[u]...)
-	e.hubIn[u] = true
+	pg, slot := e.out.at(u)
+	pg.fwd[slot] = append([]int(nil), pg.nbrs[slot]...)
+	pg.hubIn[slot] = true
 	e.fallbacks.Add(1)
 	if m := engInstr.Load(); m != nil {
-		m.recordFallback(u, len(e.nbrs[u]), cause)
+		m.recordFallback(u, len(pg.nbrs[slot]), cause)
 	}
 }
 

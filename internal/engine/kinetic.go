@@ -55,7 +55,7 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 	// predicate below is the grid gather's, bit for bit: VisitWithin
 	// filters its cell window with the same geom.LinkWithin2 call before
 	// the Reaches check.
-	hub := e.nodes[u]
+	hub := *e.out.node(u)
 	sc.oldIDs = append(sc.oldIDs[:0], st.ids...)
 	sort.Ints(sc.oldIDs)
 	sc.cands = append(sc.cands[:0], e.updCand[u]...)
@@ -67,7 +67,7 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 			continue // updCand may list a mover twice (old and new neighbor)
 		}
 		prev = c
-		nc := e.nodes[c]
+		nc := e.out.node(c)
 		linked := geom.LinkWithin2(nc.Pos.Dist2(hub.Pos), hub.Radius) &&
 			geom.Reaches(nc.Pos, hub.Pos, nc.Radius)
 		i := sort.SearchInts(sc.oldIDs, c)
@@ -103,7 +103,8 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 		// Dirty but unchanged: a neighbor moved without crossing any link
 		// boundary of u... which still changes u's local set only if the
 		// mover is a neighbor — and then it is in movedNb. Nothing to do.
-		e.nbrs[u] = keepInts(e.nbrs[u], sc.ids)
+		pg, slot := e.out.at(u)
+		pg.nbrs[slot] = keepInts(pg.nbrs[slot], sc.ids)
 		e.repaired.Add(1)
 		return nil
 	}
@@ -148,7 +149,7 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 	if !tie {
 		for _, v := range sc.movedNb {
 			diskIdx := findSlot(st.ids, v) + 1
-			st.disks[diskIdx] = e.nodes[v].Disk().Translate(hub.Pos)
+			st.disks[diskIdx] = e.out.node(v).Disk().Translate(hub.Pos)
 			sc.ksl = sc.sky.MoveDiskInto(sc.ksl, st.disks, st.sl, diskIdx, &tie)
 			st.sl = append(st.sl[:0], sc.ksl...)
 			if tie {
@@ -159,7 +160,7 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 	if !tie {
 		for _, v := range sc.gained {
 			st.ids = append(st.ids, v)
-			st.disks = append(st.disks, e.nodes[v].Disk().Translate(hub.Pos))
+			st.disks = append(st.disks, e.out.node(v).Disk().Translate(hub.Pos))
 			sc.ksl = sc.sky.InsertDiskInto(sc.ksl, st.disks, st.sl, len(st.disks)-1, &tie)
 			st.sl = append(st.sl[:0], sc.ksl...)
 			if tie {
@@ -186,7 +187,8 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 	// mapped through st.ids instead of the canonical tuples. The repair
 	// path never consults or feeds the cache — there is no fingerprint to
 	// key it by without re-canonicalizing, which is the cost being skipped.
-	e.nbrs[u] = keepInts(e.nbrs[u], sc.ids)
+	pg, slot := e.out.at(u)
+	pg.nbrs[slot] = keepInts(pg.nbrs[slot], sc.ids)
 	sc.cover = st.sl.AppendSet(sc.cover)
 	hubIn := false
 	sc.fwdBuf = sc.fwdBuf[:0]
@@ -199,8 +201,8 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 	}
 	sort.Ints(sc.fwdBuf)
 	sc.fwdBuf = mutateForwarding(sc.fwdBuf, u)
-	e.fwd[u] = keepInts(e.fwd[u], sc.fwdBuf)
-	e.hubIn[u] = hubIn
+	pg.fwd[slot] = keepInts(pg.fwd[slot], sc.fwdBuf)
+	pg.hubIn[slot] = hubIn
 	e.repaired.Add(1)
 	if m != nil {
 		m.repairSeconds.Observe(time.Since(t0))

@@ -191,7 +191,7 @@ func TestUpdateNodeRepairSteadyStateAllocs(t *testing.T) {
 	// Pick a node with neighbors and one of its neighbors to wiggle.
 	hub := -1
 	for u := range nodes {
-		if len(e.nbrs[u]) >= 3 {
+		if len(e.out.nbrs(u)) >= 3 {
 			hub = u
 			break
 		}
@@ -199,13 +199,17 @@ func TestUpdateNodeRepairSteadyStateAllocs(t *testing.T) {
 	if hub < 0 {
 		t.Fatal("no node with enough neighbors")
 	}
-	mover := e.nbrs[hub][0]
+	mover := e.out.nbrs(hub)[0]
+	// Both pages are written below; make them private to the engine once,
+	// as a pass would, so the published View of the Compute stays intact.
+	e.out.own(mover)
+	e.out.own(hub)
 	movedMark := make([]bool, len(nodes))
 	movedMark[mover] = true
 	e.updCand = make([][]int, len(nodes))
 	sc := &scratch{}
 	wiggle := func() {
-		e.nodes[mover].Pos.X += 1e-9 // tiny slide: always a repairable diff
+		e.out.node(mover).Pos.X += 1e-9 // tiny slide: always a repairable diff
 		e.updCand[hub] = append(e.updCand[hub][:0], mover)
 		if err := e.updateNode(hub, sc, movedMark); err != nil {
 			t.Fatal(err)

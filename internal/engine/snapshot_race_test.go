@@ -12,12 +12,14 @@ import (
 
 // TestSnapshotConsistencyUnderUpdate is the epoch-snapshot contract test:
 // a single writer hammers Update while reader goroutines consume published
-// *Result snapshots through an atomic pointer — exactly the publication
-// pattern mldcsd serves queries with. Every snapshot a reader observes
-// must be internally consistent (all per-node slices from one pass, sane
-// shapes, forwarding ⊆ neighbors) and epochs must be monotonic per
-// reader. Run under -race this also proves snapshots are never written
-// through by later passes.
+// *Result snapshots and *View epochs through atomic pointers — the View
+// side is exactly the publication pattern mldcsd serves queries with.
+// Every snapshot a reader observes must be internally consistent (all
+// per-node data from one pass, sane shapes, forwarding ⊆ neighbors) and
+// epochs must be monotonic per reader. Run under -race this also proves
+// snapshots are never written through by later passes: a View shares its
+// pages with the engine until a pass copies them, so a missed copy is a
+// reported race.
 func TestSnapshotConsistencyUnderUpdate(t *testing.T) {
 	const (
 		n       = 120
@@ -44,6 +46,8 @@ func TestSnapshotConsistencyUnderUpdate(t *testing.T) {
 
 	var latest atomic.Pointer[Result]
 	latest.Store(first)
+	var latestView atomic.Pointer[View]
+	latestView.Store(e.View())
 	var stop atomic.Bool
 
 	checkSnapshot := func(r *Result) {
@@ -80,7 +84,52 @@ func TestSnapshotConsistencyUnderUpdate(t *testing.T) {
 		}
 	}
 
+	checkView := func(v *View) {
+		if v.Len() != n || v.Stats.Nodes != n {
+			t.Errorf("epoch %d: view Len %d, Stats.Nodes %d, want %d", v.Epoch, v.Len(), v.Stats.Nodes, n)
+			return
+		}
+		edges := 0
+		for u := 0; u < n; u++ {
+			if v.Node(u).ID != u || !(v.Node(u).Radius > 0) {
+				t.Errorf("epoch %d: node %d = %+v", v.Epoch, u, v.Node(u))
+				return
+			}
+			nbrs := v.Neighbors(u)
+			edges += len(nbrs)
+			j := 0
+			for _, f := range v.Forwarding(u) {
+				for j < len(nbrs) && nbrs[j] < f {
+					j++
+				}
+				if j >= len(nbrs) || nbrs[j] != f {
+					t.Errorf("epoch %d node %d: forwarder %d not a neighbor of %v", v.Epoch, u, f, nbrs)
+					return
+				}
+			}
+		}
+		if edges != v.Stats.Edges {
+			t.Errorf("epoch %d: view holds %d neighbor entries, Stats.Edges = %d", v.Epoch, edges, v.Stats.Edges)
+		}
+	}
+
 	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var lastEpoch uint64
+			for !stop.Load() {
+				v := latestView.Load()
+				if v.Epoch < lastEpoch {
+					t.Errorf("view epoch went backwards: %d after %d", v.Epoch, lastEpoch)
+					return
+				}
+				lastEpoch = v.Epoch
+				checkView(v)
+			}
+		}()
+	}
 	for w := 0; w < readers; w++ {
 		wg.Add(1)
 		go func() {
@@ -119,6 +168,7 @@ func TestSnapshotConsistencyUnderUpdate(t *testing.T) {
 			t.Fatalf("tick %d: epoch = %d, want %d", tick, res.Epoch, want)
 		}
 		latest.Store(res)
+		latestView.Store(e.View())
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -132,8 +132,10 @@ func FuzzDeltaDecode(f *testing.F) {
 		// And applying it must not panic regardless of world state.
 		w := newWorld()
 		w.apply(b)
+		w.commit()
 		w.apply(b) // idempotence of apply against a populated world
-		_ = w.denseNodes()
+		w.commit()
+		_ = w.takeMoved()
 	})
 }
 

@@ -123,9 +123,9 @@ func (s *Server) handleForwarding(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, QueryResponse{
 		Epoch:      sn.Epoch,
 		Node:       id,
-		Neighbors:  mapIDs(sn.Res.Neighbors[dense], sn.IDs),
-		Forwarding: mapIDs(sn.Res.Forwarding[dense], sn.IDs),
-		HubInCover: sn.Res.HubInCover[dense],
+		Neighbors:  mapIDs(sn.Res.Neighbors(dense), sn.IDs),
+		Forwarding: mapIDs(sn.Res.Forwarding(dense), sn.IDs),
+		HubInCover: sn.Res.HubInCover(dense),
 	})
 }
 
@@ -140,10 +140,10 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	// skyline is re-derived from the snapshot's local set. Read-only on
 	// snapshot data: allocation per request, zero contention.
 	var ls mldcs.LocalSet
-	ls.Hub = sn.Nodes[dense].Disk()
-	nbrs := sn.Res.Neighbors[dense]
+	ls.Hub = sn.Res.Node(dense).Disk()
+	nbrs := sn.Res.Neighbors(dense)
 	for _, v := range nbrs {
-		ls.Neighbors = append(ls.Neighbors, sn.Nodes[v].Disk())
+		ls.Neighbors = append(ls.Neighbors, sn.Res.Node(v).Disk())
 	}
 	res, err := mldcs.Solve(ls)
 	if err != nil {

@@ -9,7 +9,7 @@
 // when the queue is full, 503 while draining). A single applier goroutine
 // drains the queue, coalescing up to Config.Coalesce queued batches per
 // engine pass — membership changes run a full Compute, pure mobility runs
-// the incremental Update — and publishes the resulting immutable Snapshot
+// the incremental Move — and publishes the resulting immutable Snapshot
 // through an atomic pointer. Query handlers load that pointer once and
 // answer entirely from it, so every response is internally consistent
 // (one epoch) and the engine is only ever touched by the applier. The
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/network"
 	"repro/internal/obs"
 )
 
@@ -41,8 +40,9 @@ const (
 	MetricIngestDraining  = "mldcsd_ingest_draining_total"  // 503: refused while draining
 	MetricDeltasIgnored   = "mldcsd_deltas_ignored_total"   // move/radius/leave on absent nodes
 	MetricQueueDepth      = "mldcsd_queue_depth"
-	MetricIngestLag       = "mldcsd_ingest_lag_seconds" // accept → apply latency
-	MetricApplySeconds    = "mldcsd_apply_seconds"      // engine pass duration
+	MetricIngestLag       = "mldcsd_ingest_lag_seconds"    // accept → apply start
+	MetricDeltaVisible    = "mldcsd_delta_visible_seconds" // accept → epoch publish
+	MetricApplySeconds    = "mldcsd_apply_seconds"         // one group: world apply, engine pass, publish
 	MetricApplyCoalesced  = "mldcsd_apply_coalesced_batches"
 	MetricEpoch           = "mldcsd_epoch"
 	MetricEpochAge        = "mldcsd_epoch_age_seconds" // refreshed at scrape time
@@ -98,23 +98,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Snapshot is one published epoch: the dense node set, its external-ID
-// mapping, and the engine result computed from exactly that set. A
+// Snapshot is one published epoch: the external-ID mapping and the engine
+// View computed from exactly that node set (node disks included). A
 // snapshot is immutable; queries read one snapshot and nothing else.
 //
 //mldcs:immutable
 type Snapshot struct {
-	// Epoch is the engine pass number (engine.Result.Epoch); 0 means "no
+	// Epoch is the engine pass number (engine.View.Epoch); 0 means "no
 	// batch applied yet" and carries an empty world.
 	Epoch uint64
 	// AppliedSeq is the highest ingest sequence folded into this epoch.
 	AppliedSeq uint64
-	// IDs maps dense index → external node ID (sorted ascending).
+	// IDs maps dense index → external node ID (sorted ascending). Every
+	// epoch with the same membership shares one slice.
 	IDs []int64
-	// Nodes are the dense engine inputs, index-aligned with IDs.
-	Nodes []network.Node
-	// Res is the engine output for Nodes; nil only at epoch 0.
-	Res *engine.Result
+	// Res is the engine output, dense-indexed like IDs; nil only at
+	// epoch 0.
+	Res *engine.View
 	// Created stamps when the snapshot was published.
 	Created time.Time
 }
@@ -161,6 +161,7 @@ type serverMetrics struct {
 	ignored   *obs.Counter
 	depth     *obs.Gauge
 	lag       *obs.Timer
+	visible   *obs.Timer
 	apply     *obs.Timer
 	coalesced *obs.Histogram
 	epoch     *obs.Gauge
@@ -182,6 +183,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		ignored:   r.Counter(MetricDeltasIgnored),
 		depth:     r.Gauge(MetricQueueDepth),
 		lag:       r.Timer(MetricIngestLag),
+		visible:   r.Timer(MetricDeltaVisible),
 		apply:     r.Timer(MetricApplySeconds),
 		coalesced: r.Histogram(MetricApplyCoalesced),
 		epoch:     r.Gauge(MetricEpoch),
@@ -320,27 +322,26 @@ func (s *Server) applier() {
 func (s *Server) applyGroup(group []ingestItem) {
 	sw := s.m.apply.Start()
 	now := time.Now()
-	membershipChanged := false
 	for _, it := range group {
 		s.m.lag.Observe(now.Sub(it.enq))
-		changed, ignored := s.world.apply(it.batch)
-		membershipChanged = membershipChanged || changed
-		s.m.ignored.Add(int64(ignored))
+		s.m.ignored.Add(int64(s.world.apply(it.batch)))
 	}
 	s.m.coalesced.Observe(float64(len(group)))
 	s.m.depth.Set(float64(len(s.queue)))
 
-	dense := s.world.denseNodes()
+	membershipChanged := s.world.commit()
+	moved := s.world.takeMoved()
 	prev := s.snap.Load()
-	var res *engine.Result
+	var view *engine.View
 	var err error
-	// Update is only legal when the previous pass saw the same membership
+	// Move is only legal when the previous pass saw the same membership
 	// (same dense mapping); an empty world also recomputes, because the
-	// engine has no grid to update against after an empty Compute.
-	if membershipChanged || prev.Res == nil || len(dense) == 0 {
-		res, err = s.eng.Compute(dense)
+	// engine has no grid to move against after an empty Compute.
+	if membershipChanged || prev.Res == nil || len(s.world.ids) == 0 {
+		_, err = s.eng.Compute(s.world.nodes)
+		view = s.eng.View()
 	} else {
-		res, err = s.eng.Update(dense)
+		view, err = s.eng.Move(moved)
 	}
 	if err != nil {
 		msg := err.Error()
@@ -348,18 +349,22 @@ func (s *Server) applyGroup(group []ingestItem) {
 		sw.Stop()
 		return
 	}
-	ids := append([]int64(nil), s.world.sortedIDs()...)
+	// Each batch becomes visible at this epoch's Store; observing just
+	// before it means a reader that sees the epoch also sees its samples.
+	created := time.Now()
+	for _, it := range group {
+		s.m.visible.Observe(created.Sub(it.enq))
+	}
 	s.snap.Store(&Snapshot{
-		Epoch:      res.Epoch,
+		Epoch:      view.Epoch,
 		AppliedSeq: group[len(group)-1].seq,
-		IDs:        ids,
-		Nodes:      dense,
-		Res:        res,
-		Created:    time.Now(),
+		IDs:        s.world.ids,
+		Res:        view,
+		Created:    created,
 	})
-	s.m.epoch.Set(float64(res.Epoch))
-	s.m.nodes.Set(float64(len(dense)))
-	s.m.repaired.Add(int64(res.Stats.Repaired))
-	s.m.recomp.Add(int64(res.Stats.Recomputed))
+	s.m.epoch.Set(float64(view.Epoch))
+	s.m.nodes.Set(float64(view.Len()))
+	s.m.repaired.Add(int64(view.Stats.Repaired))
+	s.m.recomp.Add(int64(view.Stats.Recomputed))
 	sw.Stop()
 }

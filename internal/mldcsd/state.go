@@ -70,9 +70,11 @@ func stateDoc(sn *Snapshot) StateDoc {
 	xs := make([]float64, n)
 	ys := make([]float64, n)
 	rs := make([]float64, n)
-	for i, nd := range sn.Nodes {
+	for i := range xs {
+		nd := sn.Res.Node(i)
 		xs[i], ys[i], rs[i] = nd.Pos.X, nd.Pos.Y, nd.Radius
 	}
-	doc.Nodes = CanonicalNodes(sn.IDs, xs, ys, rs, sn.Res.Neighbors, sn.Res.Forwarding, sn.Res.HubInCover)
+	res := sn.Res.Result()
+	doc.Nodes = CanonicalNodes(sn.IDs, xs, ys, rs, res.Neighbors, res.Forwarding, res.HubInCover)
 	return doc
 }

@@ -45,6 +45,9 @@ func (g *Grid) key(p geom.Point) cellKey {
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.pts) }
 
+// NumCells returns the number of occupied cells, len(Cells()) in O(1).
+func (g *Grid) NumCells() int { return len(g.cells) }
+
 // CellCoord returns the integer coordinates of the grid cell currently
 // holding point i — the same key Cells() partitions and sorts by. Callers
 // use it to group points by owning cell without materializing Cells().

@@ -135,6 +135,9 @@ func TestMoveMatchesRebuild(t *testing.T) {
 		g.Move(i, pts[i])
 	}
 	fresh := NewGrid(pts, 1)
+	if g.NumCells() != len(fresh.Cells()) || fresh.NumCells() != len(fresh.Cells()) {
+		t.Fatalf("moved grid counts %d cells, fresh %d/%d", g.NumCells(), fresh.NumCells(), len(fresh.Cells()))
+	}
 	for q := 0; q < 30; q++ {
 		center := geom.Pt(rng.Float64()*10, rng.Float64()*10)
 		radius := rng.Float64() * 3
