@@ -65,9 +65,9 @@ func runAndMaybeBank(t *testing.T, cfg SeedConfig, logDir string, bankable bool)
 		stats.FinalNodes, stats.FinalEpoch)
 }
 
-// TestChaosSeeds is the front line: fresh seeds every knob change, each a
-// full chaos run verified byte-for-byte against the oracle.
-func TestChaosSeeds(t *testing.T) {
+// runFreshSeeds runs E2E_SEEDS fresh seeds of one stream shape in
+// parallel, banking each failure with its profile.
+func runFreshSeeds(t *testing.T, profile string) {
 	if mutationActive {
 		t.Skip("engine mutation build: only TestMutationCaught is meaningful")
 	}
@@ -84,6 +84,7 @@ func TestChaosSeeds(t *testing.T) {
 	}
 	for i := 0; i < seeds; i++ {
 		cfg := runConfig(base + int64(i))
+		cfg.Profile = profile
 		t.Run(fmt.Sprintf("seed_%d", cfg.Seed), func(t *testing.T) {
 			t.Parallel()
 			runAndMaybeBank(t, cfg, logDir, true)
@@ -91,36 +92,22 @@ func TestChaosSeeds(t *testing.T) {
 	}
 }
 
+// TestChaosSeeds is the front line: fresh seeds every knob change, each a
+// full chaos run verified byte-for-byte against the oracle.
+func TestChaosSeeds(t *testing.T) { runFreshSeeds(t, "") }
+
 // TestChaosMobilitySeeds runs the pure-mobility-heavy stream shape: almost
 // every delta is a small slide of an existing node, so the server's engine
 // spends the run on its kinetic repair path and the byte-for-byte oracle
 // comparison pins repaired skylines against the offline sequential
-// recompute. Seeds are offset from the mixed-churn run's so a failure
-// banks a distinct entry.
-func TestChaosMobilitySeeds(t *testing.T) {
-	if mutationActive {
-		t.Skip("engine mutation build: only TestMutationCaught is meaningful")
-	}
-	seeds := envInt("E2E_SEEDS", 8)
-	if testing.Short() {
-		seeds = 3
-	}
-	base := int64(envInt("E2E_BASE_SEED", 1))
-	logDir := os.Getenv("E2E_LOG_DIR")
-	if logDir == "" {
-		logDir = t.TempDir()
-	} else if err := os.MkdirAll(logDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < seeds; i++ {
-		cfg := runConfig(base + int64(i))
-		cfg.Profile = ProfileMobility
-		t.Run(fmt.Sprintf("seed_%d", cfg.Seed), func(t *testing.T) {
-			t.Parallel()
-			runAndMaybeBank(t, cfg, logDir, true)
-		})
-	}
-}
+// recompute.
+func TestChaosMobilitySeeds(t *testing.T) { runFreshSeeds(t, ProfileMobility) }
+
+// TestChaosChurnSeeds runs the membership-heavy stream shape: joins and
+// leaves outnumber moves, so the server's engine spends the run filling,
+// emptying and reusing slots, and the oracle comparison pins joins,
+// leaves, slot reuse and the exact-duplicate tie-break.
+func TestChaosChurnSeeds(t *testing.T) { runFreshSeeds(t, ProfileChurn) }
 
 // TestRegressionSeeds replays every banked seed. A seed enters the bank by
 // failing once; it never leaves, so past escapes stay fixed.

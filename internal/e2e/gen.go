@@ -37,6 +37,16 @@ type SeedConfig struct {
 // churn.
 const ProfileMobility = "mobility"
 
+// ProfileChurn is the membership-heavy stream shape: joins and leaves
+// outnumber moves, fresh IDs join and leave within one batch, and some
+// joins land on a departed node's exact position and radius (often the
+// node that left earlier in the same batch) or on a live node's exact
+// disk. It drives the server's engine through slot reuse — a leave and a
+// join in one group move one slot, and a joiner on the leaver's disk
+// changes only the slot's key — and through the exact-duplicate
+// tie-break, where the lower external ID must represent.
+const ProfileChurn = "churn"
+
 // Model is the harness's intended world: what the server must converge
 // to once every accepted batch has applied. It mirrors the mldcsd apply
 // semantics exactly (join upserts, move/radius/leave of absent nodes are
@@ -92,9 +102,10 @@ type action struct {
 type generator struct {
 	rng      *rand.Rand
 	model    *Model
-	side     float64 // deployment square side
-	restarts int     // restarts remaining
-	profile  string  // stream shape (ProfileMobility or "")
+	side     float64     // deployment square side
+	restarts int         // restarts remaining
+	profile  string      // stream shape (ProfileMobility, ProfileChurn or "")
+	departed []ModelNode // disks of nodes that left (ProfileChurn)
 }
 
 func newGenerator(cfg SeedConfig) *generator {
@@ -166,8 +177,12 @@ func (g *generator) randomBatch(k int) mldcsd.Batch {
 	// where most dirty nodes did not move themselves — the kinetic repair
 	// regime — while the rare join/leave keeps the churn paths honest.
 	moveQ, radiusQ, joinQ, leaveQ, step := 0.50, 0.65, 0.80, 0.92, 0.6
-	if g.profile == ProfileMobility {
+	churn := g.profile == ProfileChurn
+	switch g.profile {
+	case ProfileMobility:
 		moveQ, radiusQ, joinQ, leaveQ, step = 0.88, 0.92, 0.955, 0.975, 0.2
+	case ProfileChurn:
+		moveQ, radiusQ, joinQ, leaveQ = 0.15, 0.20, 0.55, 0.92
 	}
 	var b mldcsd.Batch
 	joinedHere := map[int64]bool{}
@@ -198,15 +213,43 @@ func (g *generator) randomBatch(k int) mldcsd.Batch {
 			if joinedHere[id] {
 				continue
 			}
-			b.Deltas = append(b.Deltas, g.joinDelta(id))
+			d := g.joinDelta(id)
+			if churn {
+				switch g.rng.Intn(8) {
+				case 0, 1: // on a departed node's exact disk
+					if len(g.departed) > 0 {
+						setDisk(&d, g.departed[g.rng.Intn(len(g.departed))])
+					}
+				case 2: // on a live node's exact disk: an exact duplicate
+					if live, ok := g.pick(); ok {
+						setDisk(&d, g.model.peek(live, b))
+					}
+				}
+			}
+			b.Deltas = append(b.Deltas, d)
 			joinedHere[id] = true
 			g.model.NextID++
+			if churn && g.rng.Intn(4) == 0 { // a fresh ID that leaves again at once
+				b.Deltas = append(b.Deltas, mldcsd.Delta{Op: mldcsd.OpLeave, Node: id})
+			}
 		case q < leaveQ: // leave
 			id, ok := g.pick()
 			if !ok {
 				continue
 			}
+			st := g.model.peek(id, b)
 			b.Deltas = append(b.Deltas, mldcsd.Delta{Op: mldcsd.OpLeave, Node: id})
+			if churn {
+				g.departed = append(g.departed, st)
+				if fresh := g.model.NextID; g.rng.Intn(3) == 0 && !joinedHere[fresh] {
+					// A fresh ID takes the leaver's exact disk in the same batch.
+					d := g.joinDelta(fresh)
+					setDisk(&d, st)
+					b.Deltas = append(b.Deltas, d)
+					joinedHere[fresh] = true
+					g.model.NextID++
+				}
+			}
 		default: // poke an absent node: ignored on both sides
 			id := g.model.NextID + int64(g.rng.Intn(50)) + 1
 			x, y := g.rng.Float64(), g.rng.Float64()
@@ -214,6 +257,12 @@ func (g *generator) randomBatch(k int) mldcsd.Batch {
 		}
 	}
 	return b
+}
+
+// setDisk places a join delta on the given disk exactly.
+func setDisk(d *mldcsd.Delta, st ModelNode) {
+	x, y, r := st.X, st.Y, st.R
+	d.X, d.Y, d.R = &x, &y, &r
 }
 
 // peek returns the node's state as of the end of the partial batch b —

@@ -12,7 +12,7 @@ const mutationActive = true
 
 // TestMutationCaught proves the harness has teeth: under the mldcsmutate
 // build tag the engine silently drops one relay from forwarding sets of
-// nodes with dense index ≡ 5 (mod 17) — a bug class (wrong-but-plausible
+// nodes in slots ≡ 5 (mod 17) — a bug class (wrong-but-plausible
 // forwarding set) that every shape check passes. The oracle comparison
 // must flag it as divergence on at least one seed; if it cannot, the
 // harness is decoration.

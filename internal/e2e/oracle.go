@@ -62,7 +62,7 @@ func OracleNodes(m *Model) ([]mldcsd.NodeState, error) {
 		forwarding[u] = fwd
 		hubIn[u] = res.ContainsHub()
 	}
-	return mldcsd.CanonicalNodes(ids, xs, ys, rs, neighbors, forwarding, hubIn), nil
+	return mldcsd.CanonicalNodes(ids, xs, ys, rs, neighbors, forwarding, hubIn, func(u int) int64 { return ids[u] }), nil
 }
 
 // compareStates checks the served state against the oracle byte for byte

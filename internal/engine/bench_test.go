@@ -141,14 +141,16 @@ func BenchmarkEngineUpdateKinetic(b *testing.B) {
 	}
 }
 
-// BenchmarkMove measures one pure-mobility pass through Move at 100k
-// nodes: k random nodes slide by ≤2% of their radius. k=20 is one batch of
-// the mldcsd mobility-100k service workload, k=320 a full coalesced group
-// of 16 such batches. B/op is dominated by publishing: the copied pages of
-// the dirty nodes plus the page directory.
-func BenchmarkMove(b *testing.B) {
+// BenchmarkApply measures one incremental pass through Apply at 100k
+// nodes. movers=k: k random nodes slide by ≤2% of their radius (k=20 is
+// one batch of the mldcsd mobility-100k service workload, k=320 a full
+// coalesced group of 16 such batches). churn: 2 nodes leave and 2 join
+// elsewhere in the freed slots, one batch of the churn-5k workload. B/op
+// is dominated by publishing: the copied pages of the dirty nodes plus
+// the page directory.
+func BenchmarkApply(b *testing.B) {
 	const n = 100000
-	nodes, _, err := benchDeployment(n, 1)
+	nodes, side, err := benchDeployment(n, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,11 +158,14 @@ func BenchmarkMove(b *testing.B) {
 	if _, err := e.Compute(nodes); err != nil {
 		b.Fatal(err)
 	}
-	cur := append([]network.Node(nil), nodes...)
+	cur := make([]Delta, n)
+	for i, nd := range nodes {
+		cur[i] = Delta{Slot: i, Key: int64(i), Pos: nd.Pos, Radius: nd.Radius}
+	}
 	rng := rand.New(rand.NewSource(3))
 	for _, k := range []int{20, 320} {
 		b.Run(fmt.Sprintf("movers=%d", k), func(b *testing.B) {
-			moved := make([]network.Node, k)
+			moved := make([]Delta, k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -171,12 +176,31 @@ func BenchmarkMove(b *testing.B) {
 					cur[u].Pos.Y += (rng.Float64()*2 - 1) * step
 					moved[j] = cur[u]
 				}
-				if _, err := e.Move(moved); err != nil {
+				if _, err := e.Apply(moved); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	b.Run("churn", func(b *testing.B) {
+		ds := make([]Delta, 4)
+		key := int64(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 2; j++ {
+				u := rng.Intn(n)
+				key++
+				cur[u].Key = key
+				cur[u].Pos = geom.Pt(rng.Float64()*side, rng.Float64()*side)
+				ds[2*j] = Delta{Slot: u, Leave: true}
+				ds[2*j+1] = cur[u]
+			}
+			if _, err := e.Apply(ds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // benchReportEntry is one workload's row in BENCH_engine.json. The

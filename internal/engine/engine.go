@@ -5,10 +5,10 @@
 // needs: neighbor discovery through a shared spatial grid, a worker pool
 // sharded over grid cells with per-worker scratch buffers, a skyline cache
 // keyed by a canonical neighborhood fingerprint so bit-identical local
-// sets are solved once, and an incremental path (Move) that only redoes the
-// neighborhoods a movement step actually dirtied. Every pass publishes an
-// immutable copy-on-write View (view.go) whose cost is proportional to the
-// nodes the pass touched, not to the network.
+// sets are solved once, and an incremental path (Apply) that only redoes
+// the neighborhoods a batch of moves, joins and leaves actually dirtied.
+// Every pass publishes an immutable copy-on-write View (view.go) whose cost
+// is proportional to the nodes the pass touched, not to the network.
 //
 // The engine is observationally equivalent to the sequential per-node
 // loop (network.Build + Graph.LocalSet + mldcs.Solve for every node): the
@@ -55,18 +55,33 @@ type Config struct {
 	DisableRepair bool
 }
 
-// Stats summarizes one Compute or Update pass.
+// Delta is one entry of an Apply call: slot Slot's state after the pass.
+// A join or a move gives the slot the disk (Pos, Radius), Radius > 0, under
+// the ordering key Key; a leave (Leave set, the other fields ignored)
+// makes the slot absent. Keys order exact-duplicate neighbor disks in the
+// skyline tie-break (the lower key represents), so present slots should
+// carry distinct keys.
+type Delta struct {
+	Slot   int
+	Key    int64
+	Pos    geom.Point
+	Radius float64
+	Leave  bool
+}
+
+// Stats summarizes one Compute, Update or Apply pass.
 type Stats struct {
-	Nodes   int // nodes in the network
+	Nodes   int // present nodes in the network
 	Edges   int // directed neighbor entries (sum of out-degrees)
 	Cells   int // occupied grid cells (the shard count)
 	Workers int // workers actually used
 	// Cache accounting for this pass (zero when the cache is disabled).
 	CacheHits   int64
 	CacheMisses int64
-	// Update-only accounting: nodes whose state changed, and neighborhoods
-	// recomputed (moved nodes plus their old and new neighbors). A full
-	// Compute reports Dirty == Nodes.
+	// Incremental accounting: slots whose state changed (moves, joins,
+	// leaves, key changes), and neighborhoods recomputed (present changed
+	// nodes plus their old and new neighbors). A full Compute reports
+	// Dirty == Nodes.
 	Moved int
 	Dirty int
 	// Fallbacks counts the nodes in this pass whose computed skyline
@@ -111,8 +126,8 @@ type Stats struct {
 //mldcs:immutable
 type Result struct {
 	// Epoch numbers the pass that produced this snapshot: 1 for the first
-	// successful Compute, incremented by every later Compute, Update or
-	// Move. Two snapshots with the same Epoch are identical; a reader
+	// successful pass, incremented by every later Compute, Update or
+	// Apply. Two snapshots with the same Epoch are identical; a reader
 	// holding a sequence of snapshots can assert monotonicity.
 	Epoch uint64
 	// Forwarding[u] holds the sorted IDs of u's forwarding set: the
@@ -140,6 +155,8 @@ type Engine struct {
 	view  *View
 	cache *skyCache
 	stats Stats
+	// live counts the present slots.
+	live int
 	// epoch counts successful passes; publish stamps it into View.Epoch.
 	epoch uint64
 	// fallbacks counts degeneracy fallbacks within the current pass;
@@ -154,16 +171,16 @@ type Engine struct {
 	// patches in place instead of recomputing. Entry u is only ever
 	// touched by the worker that owns node u in the current pass.
 	kin []kinState
-	// Move's bookkeeping, reused across calls so a steady mobility loop
-	// does not re-allocate it every step: the moved IDs with their
+	// Apply's bookkeeping, reused across calls so a steady mobility loop
+	// does not re-allocate it every step: the changed slots with their
 	// pre-pass states, the dirty marks and list (marks reset entry-wise),
-	// the moved marks, and Update's diff buffer.
+	// the changed marks, and Update's diff buffer.
 	updMoved     []int
-	updPrev      []network.Node
+	updPrev      []Delta
 	updDirty     []bool
 	updList      []int
 	updMovedMark []bool
-	updIn        []network.Node
+	updIn        []Delta
 	// updCand[v] lists the moved nodes that may have changed v's link set
 	// this pass (possibly with duplicates): filled alongside the dirty
 	// marking, consumed by updateNode's repair gather — which therefore
@@ -224,22 +241,10 @@ func New(cfg Config) *Engine {
 // Compute runs the full whole-network pass: index the nodes in a spatial
 // grid, then solve every node's MLDCS, sharding the grid's cells over the
 // worker pool. Node IDs must equal their slice positions and radii must be
-// positive (as in network.Build). The nodes slice is copied. It returns
-// the flat rendering of the View the pass published (see View).
+// positive (as in network.Build); node i takes slot i under key i. The
+// nodes slice is copied. It returns the flat rendering of the View the
+// pass published (see View).
 func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
-	v, err := e.computeView(nodes)
-	if err != nil {
-		return nil, err
-	}
-	return v.Result(), nil
-}
-
-// computeView is Compute's pass, publishing a View.
-func (e *Engine) computeView(nodes []network.Node) (*View, error) {
-	m := engInstr.Load()
-	start := time.Now()
-
-	maxR := 0.0
 	for i, n := range nodes {
 		if n.ID != i {
 			return nil, fmt.Errorf("engine: node at position %d has ID %d; IDs must be dense", i, n.ID)
@@ -247,37 +252,62 @@ func (e *Engine) computeView(nodes []network.Node) (*View, error) {
 		if !(n.Radius > 0) {
 			return nil, fmt.Errorf("engine: node %d has non-positive radius %g", i, n.Radius)
 		}
-		if n.Radius > maxR {
-			maxR = n.Radius
+	}
+	e.out.reset(len(nodes))
+	for i, n := range nodes {
+		e.out.write(Delta{Slot: i, Key: int64(i), Pos: n.Pos, Radius: n.Radius})
+	}
+	v, err := e.bulk()
+	if err != nil {
+		return nil, err
+	}
+	return v.Result(), nil
+}
+
+// bulk is the full pass over the store's present slots, which a fresh
+// reset and writes have filled: index them in a new grid whose cell is the
+// largest radius, then solve every node, sharding the grid's cells over
+// the worker pool.
+func (e *Engine) bulk() (*View, error) {
+	m := engInstr.Load()
+	start := time.Now()
+
+	n := e.out.n
+	maxR := 0.0
+	e.live = 0
+	for u := 0; u < n; u++ {
+		if e.out.present(u) {
+			e.live++
+			maxR = max(maxR, e.out.node(u).Radius)
 		}
 	}
-	e.out.reset(nodes)
 	e.grid = nil
-	e.stats = Stats{Nodes: len(nodes)}
+	e.stats = Stats{Nodes: e.live}
 	e.fallbacks.Store(0)
 	// Invalidate (but keep) the kinetic state: per-node buffers persist
 	// across passes so a steady Compute/Update cadence stays allocation-free.
-	if cap(e.kin) >= len(nodes) {
-		e.kin = e.kin[:len(nodes)]
+	if cap(e.kin) >= n {
+		e.kin = e.kin[:n]
 		for i := range e.kin {
 			e.kin[i].valid = false
 		}
 	} else {
-		e.kin = make([]kinState, len(nodes))
+		e.kin = make([]kinState, n)
 	}
 
-	if len(nodes) == 0 {
+	if e.live == 0 {
 		return e.publish(), nil
 	}
 	cell := e.cfg.CellSize
 	if cell <= 0 {
 		cell = maxR
 	}
-	pts := make([]geom.Point, len(nodes))
-	for i, n := range nodes {
-		pts[i] = n.Pos
+	e.grid = spatial.NewGrid(nil, cell)
+	for u := 0; u < n; u++ {
+		if e.out.present(u) {
+			e.grid.Insert(u, e.out.node(u).Pos)
+		}
 	}
-	e.grid = spatial.NewGrid(pts, cell)
 	cells := e.grid.Cells()
 	e.stats.Cells = len(cells)
 
@@ -310,12 +340,12 @@ func (e *Engine) computeView(nodes []network.Node) (*View, error) {
 	}
 	e.stats.Workers = workers
 	e.stats.recordLoads(e.lastLoads)
-	e.stats.Dirty = len(nodes)
+	e.stats.Dirty = e.live
 	e.stats.Fallbacks = int(e.fallbacks.Load())
 	hits1, misses1 := e.cache.counts()
 	e.stats.CacheHits = hits1 - hits0
 	e.stats.CacheMisses = misses1 - misses0
-	for u := range nodes {
+	for u := 0; u < n; u++ {
 		e.stats.Edges += len(e.out.nbrs(u))
 	}
 
@@ -342,11 +372,10 @@ func (e *Engine) publish() *View {
 }
 
 // View returns the View the last successful pass published (an empty
-// View before the first Compute).
+// View before the first pass).
 func (e *Engine) View() *View { return e.view }
 
-// Result returns the flat rendering of the last published View (the same
-// content the last Compute or Update returned).
+// Result returns the flat rendering of the last published View.
 func (e *Engine) Result() *Result { return e.view.Result() }
 
 // CacheLen returns the number of distinct neighborhood fingerprints
@@ -409,9 +438,11 @@ func (sc *scratch) ownCanon() []int32 {
 }
 
 // nbTuple is one neighbor disk in the hub-at-origin frame, carrying the
-// raw float bits used for canonical ordering and fingerprinting.
+// raw float bits used for canonical ordering and fingerprinting, and the
+// neighbor's key, which orders exact duplicates.
 type nbTuple struct {
 	xb, yb, rb uint64
+	key        int64
 	disk       geom.Disk
 	id         int
 }
@@ -446,14 +477,14 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 	pg.nbrs[slot] = keepInts(pg.nbrs[slot], sc.ids)
 
 	// Canonical ordering: neighbors in the hub frame sorted by their raw
-	// coordinate bits. The order is independent of node IDs and of the
-	// node's absolute position, so two nodes anywhere in the network with
+	// coordinate bits. The order is independent of slots and of the node's
+	// absolute position, so two nodes anywhere in the network with
 	// bit-identical relative neighborhoods produce the same disk sequence —
 	// and hence the same skyline computation and the same fingerprint.
-	// The sort is stable over ids already in ascending order, so exact
-	// duplicate disks keep their ID order and the skyline's canonical
-	// tie-break (larger radius, then lower index) picks the same
-	// representative the per-node solver would.
+	// Exact duplicate disks are ordered by key, so the skyline's canonical
+	// tie-break (larger radius, then lower index) picks the lowest-key
+	// duplicate: the one the per-node solver picks over nodes numbered in
+	// key order, whatever slots they occupy.
 	sc.tuples = sc.tuples[:0]
 	for _, v := range sc.ids {
 		d := e.out.node(v).Disk().Translate(hub.Pos)
@@ -461,6 +492,7 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 			xb:   math.Float64bits(d.C.X),
 			yb:   math.Float64bits(d.C.Y),
 			rb:   math.Float64bits(d.R),
+			key:  e.out.key(v),
 			disk: d,
 			id:   v,
 		})
@@ -509,7 +541,7 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 	for i := range sc.tuples {
 		sc.disks = append(sc.disks, sc.tuples[i].disk)
 	}
-	// The local-disk-set precondition holds by construction — Compute
+	// The local-disk-set precondition holds by construction — the pass
 	// validated the hub radius and the link predicate only admits neighbors
 	// that reach back over the hub — so the validation pass is skipped; a
 	// degenerate result is still caught by the invariant check below.
@@ -594,12 +626,11 @@ func keepInts(old, cur []int) []int {
 	return out
 }
 
-// sortTuples orders the worker's tuple buffer by the raw (rb, xb, yb) bits
-// with a bottom-up stable merge sort through sc.tupleTmp. Stability over
-// the ascending-ID gather order is what lets exact duplicate disks keep
-// their ID order for the canonical tie-break; sort.SliceStable provides it
-// too but allocates its reflect-based swapper on every call, which is the
-// kind of per-node garbage this loop must not produce.
+// sortTuples orders the worker's tuple buffer by tupleLess with a
+// bottom-up stable merge sort through sc.tupleTmp (stable, so equal keys
+// keep the ascending-slot gather order); sort.SliceStable would allocate
+// its reflect-based swapper on every call, which is the kind of per-node
+// garbage this loop must not produce.
 //
 //mldcs:hotpath
 func sortTuples(sc *scratch) {
@@ -646,7 +677,7 @@ func mergeTuples(dst, a, b []nbTuple) {
 }
 
 // tupleLess is the canonical neighbor order: ascending raw radius bits,
-// then center x bits, then center y bits.
+// then center x bits, then center y bits, then key.
 func tupleLess(a, b *nbTuple) bool {
 	if a.rb != b.rb {
 		return a.rb < b.rb
@@ -654,7 +685,10 @@ func tupleLess(a, b *nbTuple) bool {
 	if a.xb != b.xb {
 		return a.xb < b.xb
 	}
-	return a.yb < b.yb
+	if a.yb != b.yb {
+		return a.yb < b.yb
+	}
+	return a.key < b.key
 }
 
 // fallbackNode installs the degeneracy-safe answer for node u after its

@@ -11,13 +11,14 @@ import (
 
 // Update advances the engine to new node states without redoing the whole
 // network: it diffs the node slice against the engine's current state and
-// hands the changed nodes to Move. This is the consumption path for
+// hands the changed nodes to Apply. This is the consumption path for
 // internal/mobility deltas — step the model, hand the fresh snapshot to
 // Update.
 //
-// The node count and ID assignment must match the last Compute; positions
-// and radii may change. Returns the flat rendering of the published View,
-// whose Stats carry the Moved/Dirty accounting.
+// The node count must match the engine's slot range and node i is slot i
+// under key i, as Compute assigns them; positions and radii may change.
+// Returns the flat rendering of the published View, whose Stats carry the
+// Moved/Dirty accounting.
 func (e *Engine) Update(nodes []network.Node) (*Result, error) {
 	if e.grid == nil {
 		return nil, fmt.Errorf("engine: Update called before Compute")
@@ -33,109 +34,162 @@ func (e *Engine) Update(nodes []network.Node) (*Result, error) {
 		if !(n.Radius > 0) {
 			return nil, fmt.Errorf("engine: node %d has non-positive radius %g", i, n.Radius)
 		}
-		cur := e.out.node(i)
+		// An absent slot has radius 0, so it always differs.
+		pg, slot := e.out.at(i)
+		cur := &pg.node[slot]
 		//mldcslint:allow floatcmp bitwise change detection: any bit difference marks the node dirty, which is always safe
-		if n.Pos != cur.Pos || n.Radius != cur.Radius {
-			in = append(in, n)
+		if n.Pos != cur.Pos || n.Radius != cur.Radius || pg.key[slot] != int64(i) {
+			in = append(in, Delta{Slot: i, Key: int64(i), Pos: n.Pos, Radius: n.Radius})
 		}
 	}
 	e.updIn = in
-	v, err := e.Move(in)
+	v, err := e.Apply(in)
 	if err != nil {
 		return nil, err
 	}
 	return v.Result(), nil
 }
 
-// Move advances the engine by the nodes that changed since the last pass
-// and publishes the resulting View. Each entry is a dense node ID from the
-// last Compute with the node's new position and radius; an entry equal to
-// the node's current state is ignored, and when an ID repeats the last
-// entry wins. It implements the paper's §5.1.1 point that 1-hop
-// structures are cheap to maintain under mobility: a node's forwarding set
-// can only change when its own local set changes, so the dirty set is
-// exactly the moved nodes plus their old and new neighbors, and only those
-// are repaired or recomputed. Every step — marking, the pass, the
-// Stats.Edges bookkeeping and the page copies of publishing — is
-// O(moved + dirty); the one N-proportional step is the View's copy of the
-// page directory, N/pageSize pointers.
-func (e *Engine) Move(moved []network.Node) (*View, error) {
+// sameState reports whether two slot states are bitwise equal: both absent,
+// or both present with the same key, position and radius.
+func sameState(a, b Delta) bool {
+	if a.Leave || b.Leave {
+		return a.Leave == b.Leave
+	}
+	//mldcslint:allow floatcmp bitwise change detection: any bit difference marks the node dirty, which is always safe
+	return a.Key == b.Key && a.Pos == b.Pos && a.Radius == b.Radius
+}
+
+// Apply advances the engine by the slots that changed since the last pass
+// and publishes the resulting View. Each entry is one slot's new state
+// (see Delta): a join fills an absent slot, a leave empties a present
+// one, and a move changes a present slot's disk or key; an entry equal to
+// the slot's current state is ignored, and when a slot repeats the last
+// entry wins. Slots are the caller's stable node IDs: a slot may lie past
+// the current range (growing it; every new slot starts absent) as long as
+// it is below Len() + len(ds), which a caller that appends new slots one
+// at a time never exceeds. A leave and a join that reuse one slot in the
+// same call is a move to wherever the joiner is.
+//
+// It implements the paper's §5.1.1 point that 1-hop structures are cheap
+// to maintain: a node's forwarding set can only change when its own local
+// set changes, so the dirty set is exactly the present changed slots plus
+// their old and new neighbors, and only those are repaired or recomputed.
+// Every step — marking, the pass, the Stats.Edges bookkeeping and the page
+// copies of publishing — is O(changed + dirty); the one N-proportional
+// step is the View's copy of the page directory, N/pageSize pointers.
+//
+// On an engine with no present node (before the first pass, or after an
+// empty one) Apply has no grid to update and runs the full bulk pass of
+// Compute over the slots instead.
+func (e *Engine) Apply(ds []Delta) (*View, error) {
+	limit := e.out.n + len(ds)
+	n := e.out.n
+	for _, d := range ds {
+		if d.Slot < 0 || d.Slot >= limit {
+			return nil, fmt.Errorf("engine: slot %d out of range [0, %d)", d.Slot, limit)
+		}
+		if !d.Leave && !(d.Radius > 0) {
+			return nil, fmt.Errorf("engine: slot %d has non-positive radius %g", d.Slot, d.Radius)
+		}
+		n = max(n, d.Slot+1)
+	}
+	if e.grid == nil {
+		e.out.reset(n)
+		for _, d := range ds {
+			e.out.write(d)
+		}
+		return e.bulk()
+	}
+
 	m := engInstr.Load()
 	start := time.Now()
-
-	if e.grid == nil {
-		return nil, fmt.Errorf("engine: Move called before Compute")
+	if n > e.out.n {
+		e.out.grow(n)
+		e.kin = append(e.kin, make([]kinState, n-len(e.kin))...)
 	}
-	n := e.out.n
-	for _, nd := range moved {
-		if nd.ID < 0 || nd.ID >= n {
-			return nil, fmt.Errorf("engine: moved node ID %d out of range [0, %d)", nd.ID, n)
-		}
-		if !(nd.Radius > 0) {
-			return nil, fmt.Errorf("engine: node %d has non-positive radius %g", nd.ID, nd.Radius)
-		}
-	}
-	// The per-node tables are all-false between passes (reset entry-wise
-	// below), so they only ever grow here.
+	// The per-slot tables are all-false between passes (reset entry-wise
+	// below), so they only ever grow here, doubling so a growing network
+	// reallocates them O(log N) times.
 	if cap(e.updMovedMark) < n {
-		e.updMovedMark = make([]bool, n)
-		e.updDirty = make([]bool, n)
-		e.updCand = make([][]int, n)
+		c := max(n, 2*cap(e.updMovedMark))
+		e.updMovedMark = make([]bool, c)
+		e.updDirty = make([]bool, c)
+		e.updCand = make([][]int, c)
 	}
 	movedMark := e.updMovedMark[:n]
 	dirty := e.updDirty[:n]
 	cand := e.updCand[:n]
 
-	// Write the new states, keeping each node's pre-pass state from its
-	// first entry, then drop the nodes that ended where they started.
+	// Write the new states, keeping each slot's pre-pass state from its
+	// first entry, then drop the slots that ended where they started.
 	ids, prev := e.updMoved[:0], e.updPrev[:0]
-	for _, nd := range moved {
-		u := nd.ID
+	for _, d := range ds {
+		u := d.Slot
 		if !movedMark[u] {
 			movedMark[u] = true
 			ids = append(ids, u)
-			prev = append(prev, *e.out.node(u))
+			prev = append(prev, e.out.state(u))
 		}
 		e.out.own(u)
-		*e.out.node(u) = nd
+		e.out.write(d)
 	}
-	kept := ids[:0]
+	kept, keptPrev := ids[:0], prev[:0]
 	for j, u := range ids {
-		cur := e.out.node(u)
-		//mldcslint:allow floatcmp bitwise change detection: any bit difference marks the node dirty, which is always safe
-		if cur.Pos == prev[j].Pos && cur.Radius == prev[j].Radius {
+		if sameState(e.out.state(u), prev[j]) {
 			movedMark[u] = false
 			continue
 		}
-		kept = append(kept, u)
+		kept, keptPrev = append(kept, u), append(keptPrev, prev[j])
 	}
-	ids = kept
+	ids, prev = kept, keptPrev
 	e.updMoved, e.updPrev = ids, prev
 
-	// Dirty = every moved node, its old neighbors (who may have lost it or
-	// see it at a new relative position), and — after the grid reflects the
-	// moves — its new neighbors (who may have gained it). Everyone else's
-	// local set is bitwise unchanged. cand[v] collects the movers that may
-	// have changed v's link set, for updateNode's grid-free repair gather.
+	// Dirty = every present changed slot, its old neighbors (who may have
+	// lost it or see it at a new relative position), and — after the grid
+	// reflects the changes — its new neighbors (who may have gained it).
+	// Everyone else's local set is bitwise unchanged. A slot that left is
+	// not dirty: it has no local set, so its outputs are simply emptied.
+	// cand[v] collects the changed slots that may have changed v's link
+	// set, for updateNode's grid-free repair gather.
 	list := e.updList[:0]
-	for _, u := range ids {
-		if !dirty[u] {
-			dirty[u] = true
-			list = append(list, u)
-		}
+	edges := e.stats.Edges
+	for j, u := range ids {
 		for _, v := range e.out.nbrs(u) {
+			if !e.out.present(v) {
+				continue // left this pass too
+			}
 			if !dirty[v] {
 				dirty[v] = true
 				list = append(list, v)
 			}
 			cand[v] = append(cand[v], u)
 		}
-	}
-	for _, u := range ids {
-		e.grid.Move(u, e.out.node(u).Pos)
+		was, now := !prev[j].Leave, e.out.present(u)
+		switch {
+		case was && now:
+			e.grid.Move(u, e.out.node(u).Pos)
+		case now:
+			e.grid.Insert(u, e.out.node(u).Pos)
+			e.live++
+		case was:
+			e.grid.Remove(u)
+			e.live--
+			pg, slot := e.out.at(u)
+			edges -= len(pg.nbrs[slot])
+			pg.nbrs[slot], pg.fwd[slot], pg.hubIn[slot] = nil, nil, false
+			e.kin[u].valid = false
+		}
+		if now && !dirty[u] {
+			dirty[u] = true
+			list = append(list, u)
+		}
 	}
 	for _, u := range ids {
 		hub := *e.out.node(u)
+		if !(hub.Radius > 0) {
+			continue
+		}
 		e.grid.VisitWithin(hub.Pos, hub.Radius, func(v int) {
 			// Same reverse-link predicate as computeNode and network.Build:
 			// the dirty set must include exactly the nodes that gained u as
@@ -153,7 +207,6 @@ func (e *Engine) Move(moved []network.Node) (*View, error) {
 
 	// Only dirty nodes change their neighbor count, so the edge total moves
 	// by their before/after difference.
-	edges := e.stats.Edges
 	for _, u := range list {
 		edges -= len(e.out.nbrs(u))
 	}
@@ -183,7 +236,7 @@ func (e *Engine) Move(moved []network.Node) (*View, error) {
 	hits1, misses1 := e.cache.counts()
 
 	e.stats = Stats{
-		Nodes:       n,
+		Nodes:       e.live,
 		Edges:       edges,
 		Cells:       e.grid.NumCells(),
 		Workers:     workers,
@@ -218,7 +271,7 @@ func (e *Engine) Move(moved []network.Node) (*View, error) {
 // Work distribution cannot change results — each node's repair touches
 // only that node's state — so any claiming/stealing order produces the
 // same snapshot; the kinetic differential tests pin that across the
-// workers matrix. Split out from Move so the allocation regression tests
+// workers matrix. Split out from Apply so the allocation regression tests
 // can pin the batching + claiming machinery at zero steady-state
 // allocations without publishing a View.
 func (e *Engine) runUpdatePass(list []int, movedMark []bool) (int, error) {

@@ -35,9 +35,9 @@ import (
 // the neighborhood the O(k log k) rebuild wins.
 const repairMaxDiffFactor = 3
 
-// updateNode brings node u up to date during an Update pass: kinetic
+// updateNode brings node u up to date during an Apply pass: kinetic
 // repair when the cached state allows it, full recompute otherwise.
-// movedMark is Update's per-pass "did this node move" table.
+// movedMark is Apply's per-pass "did this slot change" table.
 //
 //mldcs:hotpath
 func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
@@ -46,10 +46,10 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 		return e.recomputeNode(u, sc)
 	}
 
-	// Diff the neighborhood from Update's per-node candidate list instead
+	// Diff the neighborhood from Apply's per-node candidate list instead
 	// of a grid query: for a node that did not move itself, link changes
-	// can only come from this pass's movers, and Update recorded exactly
-	// those movers in e.updCand[u] — the old-neighbor loop covers leavers
+	// can only come from this pass's changed slots, and Apply recorded
+	// exactly those in e.updCand[u] — the old-neighbor loop covers leavers
 	// and stayers (the link relation is symmetric: dist within both
 	// radii), the visit-from-new-position loop covers joiners. The direct
 	// predicate below is the grid gather's, bit for bit: VisitWithin
@@ -68,7 +68,8 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 		}
 		prev = c
 		nc := e.out.node(c)
-		linked := geom.LinkWithin2(nc.Pos.Dist2(hub.Pos), hub.Radius) &&
+		linked := nc.Radius > 0 && // a slot that left links to nobody
+			geom.LinkWithin2(nc.Pos.Dist2(hub.Pos), hub.Radius) &&
 			geom.Reaches(nc.Pos, hub.Pos, nc.Radius)
 		i := sort.SearchInts(sc.oldIDs, c)
 		was := i < len(sc.oldIDs) && sc.oldIDs[i] == c

@@ -9,8 +9,8 @@ package engine
 // `go test -tags mldcsmutate` (see docs/TESTING.md).
 const mutationEnabled = true
 
-// mutateForwarding drops the largest-ID relay from the forwarding set of
-// every node whose ID is ≡ 5 (mod 17) — a silent "missing relay" bug, the
+// mutateForwarding drops the relay in the largest slot from the forwarding
+// set of every node in a slot ≡ 5 (mod 17) — a silent "missing relay" bug, the
 // exact failure class (an under-cover forwarding set) Theorem 3 rules out
 // for the correct algorithm. Only sets with ≥ 2 relays are touched so the
 // network stays plausibly connected and the bug survives casual smoke

@@ -29,34 +29,47 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// page holds the per-node state of pageSize consecutive dense node IDs.
+// page holds the per-node state of pageSize consecutive slots. A present
+// slot holds a node (radius > 0) and its ordering key; an absent slot holds
+// a zero-radius node, key 0 and empty outputs.
 type page struct {
 	gen   uint64 // the store generation this page is private to
 	node  [pageSize]network.Node
+	key   [pageSize]int64
 	nbrs  [pageSize][]int
 	fwd   [pageSize][]int
 	hubIn [pageSize]bool
 }
 
-// pageStore is the engine's copy-on-write per-node store.
+// pageStore is the engine's copy-on-write per-node store over the slot
+// range [0, n).
 type pageStore struct {
 	n     int
 	gen   uint64
 	pages []*page
 }
 
-// reset replaces the store with fresh private pages holding nodes and empty
-// outputs. Pages of earlier Views are left untouched.
-func (s *pageStore) reset(nodes []network.Node) {
+// reset replaces the store with fresh private pages for n absent slots.
+// Pages of earlier Views are left untouched.
+func (s *pageStore) reset(n int) {
 	s.gen++
-	s.n = len(nodes)
-	s.pages = make([]*page, (len(nodes)+pageMask)>>pageShift)
-	for i := range s.pages {
-		s.pages[i] = &page{gen: s.gen}
+	s.n = 0
+	s.pages = make([]*page, 0, (n+pageMask)>>pageShift)
+	s.grow(n)
+}
+
+// grow extends the slot range to n with absent slots on fresh private
+// pages; slots past the old range on its last page are already absent.
+func (s *pageStore) grow(n int) {
+	for len(s.pages) < (n+pageMask)>>pageShift {
+		p := &page{gen: s.gen}
+		base := len(s.pages) << pageShift
+		for i := range p.node {
+			p.node[i].ID = base + i
+		}
+		s.pages = append(s.pages, p)
 	}
-	for u, nd := range nodes {
-		s.pages[u>>pageShift].node[u&pageMask] = nd
-	}
+	s.n = max(s.n, n)
 }
 
 // at returns node u's page and slot. Writes through it are legal only on a
@@ -70,9 +83,41 @@ func (s *pageStore) node(u int) *network.Node {
 	return &s.pages[u>>pageShift].node[u&pageMask]
 }
 
+// present reports whether slot u holds a node.
+func (s *pageStore) present(u int) bool {
+	return s.pages[u>>pageShift].node[u&pageMask].Radius > 0
+}
+
+// key returns slot u's ordering key.
+func (s *pageStore) key(u int) int64 {
+	return s.pages[u>>pageShift].key[u&pageMask]
+}
+
 // nbrs returns node u's current neighbor list.
 func (s *pageStore) nbrs(u int) []int {
 	return s.pages[u>>pageShift].nbrs[u&pageMask]
+}
+
+// state returns slot u's node and key as a Delta (Leave when absent), the
+// form Apply compares to detect an unchanged slot.
+func (s *pageStore) state(u int) Delta {
+	p, i := s.at(u)
+	if !(p.node[i].Radius > 0) {
+		return Delta{Slot: u, Leave: true}
+	}
+	return Delta{Slot: u, Key: p.key[i], Pos: p.node[i].Pos, Radius: p.node[i].Radius}
+}
+
+// write sets slot d.Slot's node and key, or makes the slot absent for a
+// leave; the outputs are the pass's to update. The page must be private
+// (own).
+func (s *pageStore) write(d Delta) {
+	p, i := s.at(d.Slot)
+	if d.Leave {
+		p.node[i], p.key[i] = network.Node{ID: d.Slot}, 0
+		return
+	}
+	p.node[i], p.key[i] = network.Node{ID: d.Slot, Pos: d.Pos, Radius: d.Radius}, d.Key
 }
 
 // own makes node u's page private to the current generation, copying it if
@@ -95,7 +140,7 @@ func (s *pageStore) publish(epoch uint64, st Stats) *View {
 }
 
 // View is one published epoch of the engine's per-node output: read-only
-// accessors over a frozen page directory. Later passes copy a page before
+// accessors over a frozen page directory, indexed by slot. Later passes copy a page before
 // writing it and replace per-node slices instead of writing through them,
 // so a View stays internally consistent forever and may be read
 // concurrently, e.g. through an atomic.Pointer, while the engine keeps
@@ -106,8 +151,8 @@ func (s *pageStore) publish(epoch uint64, st Stats) *View {
 //mldcs:immutable
 type View struct {
 	// Epoch numbers the pass that produced this View: 1 for the first
-	// successful Compute, incremented by every later Compute, Update or
-	// Move.
+	// successful pass, incremented by every later Compute, Update or
+	// Apply.
 	Epoch uint64
 	// Stats describes the pass that produced this View.
 	Stats Stats
@@ -115,11 +160,18 @@ type View struct {
 	pages []*page
 }
 
-// Len returns the number of nodes; accessors take 0 ≤ u < Len().
+// Len returns the slot range: accessors take 0 ≤ u < Len(). A slot that
+// holds no node (an absent slot: never filled, or left) returns a
+// zero-radius Node, key 0 and empty lists; Stats.Nodes counts the present
+// ones.
 func (v *View) Len() int { return v.n }
 
-// Node returns node u as the pass saw it: dense ID u, position and radius.
+// Node returns node u as the pass saw it: ID u, position and radius.
 func (v *View) Node(u int) network.Node { return v.pages[u>>pageShift].node[u&pageMask] }
+
+// Key returns slot u's ordering key: the dense ID for Compute and Update,
+// the caller's key for Apply (mldcsd passes the external node ID).
+func (v *View) Key(u int) int64 { return v.pages[u>>pageShift].key[u&pageMask] }
 
 // Neighbors returns u's sorted bidirectional 1-hop neighbor IDs, exactly as
 // network.Build would report them.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"reflect"
 	"runtime"
 	"testing"
@@ -125,8 +126,8 @@ func TestMobilityApplyBytesFlatInN(t *testing.T) {
 
 // TestSnapshotIDsSharedUntilMembershipChanges pins the ID-mapping
 // contract: every epoch with the same membership publishes the same IDs
-// slice (no per-epoch copy), and a join or leave publishes a fresh one
-// while earlier snapshots keep their mapping intact.
+// and Slots slices (no per-epoch copy), and a join or leave publishes
+// fresh ones while earlier snapshots keep their mapping intact.
 func TestSnapshotIDsSharedUntilMembershipChanges(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	post := func(body string) *Snapshot {
@@ -136,20 +137,50 @@ func TestSnapshotIDsSharedUntilMembershipChanges(t *testing.T) {
 	}
 	first := post(`{"deltas":[{"op":"join","node":30,"x":0,"y":0,"r":1},{"op":"join","node":10,"x":0.5,"y":0,"r":1}]}`)
 	moved := post(`{"deltas":[{"op":"move","node":30,"x":0.2,"y":0.1},{"op":"radius","node":10,"r":1.5}]}`)
-	if &moved.IDs[0] != &first.IDs[0] {
+	if &moved.IDs[0] != &first.IDs[0] || &moved.Slots[0] != &first.Slots[0] {
 		t.Fatal("a pure-mobility epoch copied the ID mapping")
 	}
 	if moved.Res.Stats.Moved != 2 || moved.Res.Node(1).Pos.X != 0.2 {
 		t.Fatalf("mobility epoch: moved %d, node 30 at %+v", moved.Res.Stats.Moved, moved.Res.Node(1))
 	}
 	joined := post(`{"deltas":[{"op":"join","node":20,"x":0.4,"y":0.4,"r":1}]}`)
-	if &joined.IDs[0] == &first.IDs[0] {
-		t.Fatal("a membership change reused the published ID slice")
+	if &joined.IDs[0] == &first.IDs[0] || &joined.Slots[0] == &first.Slots[0] {
+		t.Fatal("a membership change reused the published ID slices")
 	}
 	if want := []int64{10, 20, 30}; !reflect.DeepEqual(joined.IDs, want) {
 		t.Fatalf("IDs after join = %v, want %v", joined.IDs, want)
 	}
+	// Set-up joins take slots in ascending ID order; a later join with no
+	// free slot grows the range.
+	if want := []int{0, 2, 1}; !reflect.DeepEqual(joined.Slots, want) {
+		t.Fatalf("Slots after join = %v, want %v", joined.Slots, want)
+	}
 	if want := []int64{10, 30}; !reflect.DeepEqual(first.IDs, want) || !reflect.DeepEqual(moved.IDs, want) {
 		t.Fatalf("earlier snapshots' IDs changed: %v, %v", first.IDs, moved.IDs)
+	}
+}
+
+// TestNodesCountsLiveNodesNotSlots: while a freed slot is still free, the
+// engine's Stats.Nodes, the mldcsd_nodes gauge and /v1/epoch all report
+// live nodes, not the slot range.
+func TestNodesCountsLiveNodesNotSlots(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ts := newTestServer(t, Config{Registry: reg})
+	var ack IngestResponse
+	decodeInto(t, postBatch(t, ts.URL, `{"deltas":[{"op":"join","node":1,"x":0,"y":0,"r":1},{"op":"join","node":2,"x":0.5,"y":0,"r":1},{"op":"join","node":3,"x":1,"y":0,"r":1}]}`), &ack)
+	decodeInto(t, postBatch(t, ts.URL, `{"deltas":[{"op":"leave","node":2}]}`), &ack)
+	sn := waitApplied(t, s, ack.Seq)
+	if sn.Res.Len() != 3 {
+		t.Fatalf("slot range %d, want 3 (the freed slot stays free)", sn.Res.Len())
+	}
+	var ep EpochResponse
+	resp, err := http.Get(ts.URL + "/v1/epoch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeInto(t, resp, &ep)
+	gauge := reg.Snapshot().Gauges[MetricNodes]
+	if sn.Res.Stats.Nodes != 2 || gauge != 2 || ep.Nodes != 2 {
+		t.Fatalf("live nodes: Stats.Nodes %d, %s %g, /v1/epoch %d; want 2 each", sn.Res.Stats.Nodes, MetricNodes, gauge, ep.Nodes)
 	}
 }

@@ -2,8 +2,11 @@ package mldcsd
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // Decoder table: the named payload classes from ISSUE 7 plus the shapes
@@ -134,8 +137,26 @@ func FuzzDeltaDecode(f *testing.F) {
 		w.apply(b)
 		w.commit()
 		w.apply(b) // idempotence of apply against a populated world
-		w.commit()
-		_ = w.takeMoved()
+		ds := w.commit()
+		// The sorted index, the ID map and the slot table must agree.
+		if len(w.ids) != len(w.index) || !slices.IsSorted(w.ids) {
+			t.Fatalf("index %v does not list the %d live IDs in order", w.ids, len(w.index))
+		}
+		for i, id := range w.ids {
+			if s := w.slots[i]; w.index[id] != s || w.state[s].Leave || w.state[s].Key != id || w.state[s].Slot != s {
+				t.Fatalf("ID %d: index slot %d, map slot %d, state %+v", id, s, w.index[id], w.state[s])
+			}
+		}
+		// The last recorded delta of each slot is its committed state.
+		last := map[int]engine.Delta{}
+		for _, d := range ds {
+			last[d.Slot] = d
+		}
+		for s, d := range last {
+			if s >= len(w.state) || d != w.state[s] {
+				t.Fatalf("slot %d: last delta %+v, state %+v", s, d, w.state[s])
+			}
+		}
 	})
 }
 

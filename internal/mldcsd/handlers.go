@@ -1,11 +1,12 @@
 package mldcsd
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -116,32 +117,35 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleForwarding(w http.ResponseWriter, r *http.Request) {
 	s.m.queries.Inc()
 	sn := s.snap.Load()
-	id, dense, ok := s.lookupNode(w, r, sn)
+	id, slot, ok := s.lookupNode(w, r, sn)
 	if !ok {
 		return
 	}
 	writeJSON(w, QueryResponse{
 		Epoch:      sn.Epoch,
 		Node:       id,
-		Neighbors:  mapIDs(sn.Res.Neighbors(dense), sn.IDs),
-		Forwarding: mapIDs(sn.Res.Forwarding(dense), sn.IDs),
-		HubInCover: sn.Res.HubInCover(dense),
+		Neighbors:  mapIDs(sn.Res.Neighbors(slot), sn.Res.Key),
+		Forwarding: mapIDs(sn.Res.Forwarding(slot), sn.Res.Key),
+		HubInCover: sn.Res.HubInCover(slot),
 	})
 }
 
 func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	s.m.queries.Inc()
 	sn := s.snap.Load()
-	id, dense, ok := s.lookupNode(w, r, sn)
+	id, slot, ok := s.lookupNode(w, r, sn)
 	if !ok {
 		return
 	}
 	// The engine result keeps forwarding sets, not arc lists, so the
 	// skyline is re-derived from the snapshot's local set. Read-only on
-	// snapshot data: allocation per request, zero contention.
+	// snapshot data: allocation per request, zero contention. Neighbors go
+	// in external-ID order, as the oracle numbers them, so an exact
+	// duplicate disk's arcs name the same owner the forwarding set does.
 	var ls mldcs.LocalSet
-	ls.Hub = sn.Res.Node(dense).Disk()
-	nbrs := sn.Res.Neighbors(dense)
+	ls.Hub = sn.Res.Node(slot).Disk()
+	nbrs := slices.Clone(sn.Res.Neighbors(slot))
+	slices.SortFunc(nbrs, func(a, b int) int { return cmp.Compare(sn.Res.Key(a), sn.Res.Key(b)) })
 	for _, v := range nbrs {
 		ls.Neighbors = append(ls.Neighbors, sn.Res.Node(v).Disk())
 	}
@@ -155,7 +159,7 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	for _, a := range res.Skyline {
 		owner := id
 		if a.Disk > 0 {
-			owner = sn.IDs[nbrs[a.Disk-1]]
+			owner = sn.Res.Key(nbrs[a.Disk-1])
 		}
 		arcs = append(arcs, SkylineArc{Node: owner, Start: a.Start, End: a.End})
 	}
@@ -174,7 +178,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		AppliedSeq:  sn.AppliedSeq,
 		AcceptedSeq: s.AcceptedSeq(),
 		QueueLen:    len(s.queue),
-		Nodes:       len(sn.IDs),
+		Nodes:       len(sn.IDs), // live nodes, not slots
 		Draining:    s.Draining(),
 	})
 }
@@ -190,9 +194,9 @@ func (s *Server) healthHandler() http.Handler {
 	})
 }
 
-// lookupNode parses ?node= and resolves it against the snapshot's dense
-// mapping, writing the 400/404 itself when it fails.
-func (s *Server) lookupNode(w http.ResponseWriter, r *http.Request, sn *Snapshot) (id int64, dense int, ok bool) {
+// lookupNode parses ?node= and resolves it to its engine slot through the
+// snapshot's sorted ID index, writing the 400/404 itself when it fails.
+func (s *Server) lookupNode(w http.ResponseWriter, r *http.Request, sn *Snapshot) (id int64, slot int, ok bool) {
 	raw := r.URL.Query().Get("node")
 	id, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil || id < 0 {
@@ -200,13 +204,13 @@ func (s *Server) lookupNode(w http.ResponseWriter, r *http.Request, sn *Snapshot
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad node %q", raw))
 		return 0, 0, false
 	}
-	dense = sort.Search(len(sn.IDs), func(i int) bool { return sn.IDs[i] >= id })
-	if sn.Res == nil || dense >= len(sn.IDs) || sn.IDs[dense] != id {
+	i, found := slices.BinarySearch(sn.IDs, id)
+	if sn.Res == nil || !found {
 		s.m.queryErrs.Inc()
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown node %d at epoch %d", id, sn.Epoch))
 		return 0, 0, false
 	}
-	return id, dense, true
+	return id, sn.Slots[i], true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -8,12 +8,13 @@
 // bounded queue (202 + sequence number) or sheds it (429 + Retry-After
 // when the queue is full, 503 while draining). A single applier goroutine
 // drains the queue, coalescing up to Config.Coalesce queued batches per
-// engine pass — membership changes run a full Compute, pure mobility runs
-// the incremental Move — and publishes the resulting immutable Snapshot
-// through an atomic pointer. Query handlers load that pointer once and
-// answer entirely from it, so every response is internally consistent
-// (one epoch) and the engine is only ever touched by the applier. The
-// /metrics and /healthz surfaces ride the same mux via internal/obs/expo.
+// engine pass — moves, joins and leaves alike become one incremental
+// engine.Apply over stable slots — and publishes the resulting immutable
+// Snapshot through an atomic pointer. Query handlers load that pointer
+// once and answer entirely from it, so every response is internally
+// consistent (one epoch) and the engine is only ever touched by the
+// applier. The /metrics and /healthz surfaces ride the same mux via
+// internal/obs/expo.
 //
 // The chaos e2e harness (internal/e2e) is the package's correctness
 // gate: seeded action streams against a live server must converge to
@@ -98,9 +99,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Snapshot is one published epoch: the external-ID mapping and the engine
-// View computed from exactly that node set (node disks included). A
-// snapshot is immutable; queries read one snapshot and nothing else.
+// Snapshot is one published epoch: the live-ID index and the engine View
+// computed from exactly that node set (node disks included). A snapshot is
+// immutable; queries read one snapshot and nothing else.
 //
 //mldcs:immutable
 type Snapshot struct {
@@ -109,11 +110,13 @@ type Snapshot struct {
 	Epoch uint64
 	// AppliedSeq is the highest ingest sequence folded into this epoch.
 	AppliedSeq uint64
-	// IDs maps dense index → external node ID (sorted ascending). Every
-	// epoch with the same membership shares one slice.
+	// IDs lists the live external node IDs, ascending. Every epoch with
+	// the same membership shares one slice.
 	IDs []int64
-	// Res is the engine output, dense-indexed like IDs; nil only at
-	// epoch 0.
+	// Slots[i] is the engine slot of IDs[i]; shared like IDs.
+	Slots []int
+	// Res is the engine output, indexed by slot, with each slot's external
+	// ID as its key (Res.Key); nil only at epoch 0.
 	Res *engine.View
 	// Created stamps when the snapshot was published.
 	Created time.Time
@@ -329,42 +332,31 @@ func (s *Server) applyGroup(group []ingestItem) {
 	s.m.coalesced.Observe(float64(len(group)))
 	s.m.depth.Set(float64(len(s.queue)))
 
-	membershipChanged := s.world.commit()
-	moved := s.world.takeMoved()
-	prev := s.snap.Load()
-	var view *engine.View
-	var err error
-	// Move is only legal when the previous pass saw the same membership
-	// (same dense mapping); an empty world also recomputes, because the
-	// engine has no grid to move against after an empty Compute.
-	if membershipChanged || prev.Res == nil || len(s.world.ids) == 0 {
-		_, err = s.eng.Compute(s.world.nodes)
-		view = s.eng.View()
-	} else {
-		view, err = s.eng.Move(moved)
-	}
+	view, err := s.eng.Apply(s.world.commit())
 	if err != nil {
 		msg := err.Error()
 		s.fatal.Store(&msg)
 		sw.Stop()
 		return
 	}
-	// Each batch becomes visible at this epoch's Store; observing just
-	// before it means a reader that sees the epoch also sees its samples.
+	// Each batch becomes visible at this epoch's Store; recording the
+	// epoch's metrics just before it means a reader that sees the epoch
+	// also sees its samples.
 	created := time.Now()
 	for _, it := range group {
 		s.m.visible.Observe(created.Sub(it.enq))
 	}
+	s.m.epoch.Set(float64(view.Epoch))
+	s.m.nodes.Set(float64(view.Stats.Nodes))
+	s.m.repaired.Add(int64(view.Stats.Repaired))
+	s.m.recomp.Add(int64(view.Stats.Recomputed))
 	s.snap.Store(&Snapshot{
 		Epoch:      view.Epoch,
 		AppliedSeq: group[len(group)-1].seq,
 		IDs:        s.world.ids,
+		Slots:      s.world.slots,
 		Res:        view,
 		Created:    created,
 	})
-	s.m.epoch.Set(float64(view.Epoch))
-	s.m.nodes.Set(float64(view.Len()))
-	s.m.repaired.Add(int64(view.Stats.Repaired))
-	s.m.recomp.Add(int64(view.Stats.Recomputed))
 	sw.Stop()
 }

@@ -1,5 +1,7 @@
 package mldcsd
 
+import "slices"
+
 // The canonical converged-state document. Both the live server
 // (GET /v1/state) and the offline sequential oracle (internal/e2e)
 // render their answer through these exact types and CanonicalNodes, so
@@ -30,13 +32,12 @@ type StateDoc struct {
 	Nodes      []NodeState `json:"nodes"`
 }
 
-// CanonicalNodes maps dense per-node results to the canonical NodeState
-// list: ids is the dense→external mapping (sorted ascending), and
-// neighbors/forwarding/hubIn are dense-indexed, with neighbor lists in
-// dense indices. Dense order is sorted external-ID order, so ascending
-// dense indices map to ascending external IDs and every output list is
-// sorted by construction.
-func CanonicalNodes(ids []int64, xs, ys, rs []float64, neighbors, forwarding [][]int, hubIn []bool) []NodeState {
+// CanonicalNodes renders per-node results as the canonical NodeState list.
+// Node i has external ID ids[i] (ascending); neighbors[i] and
+// forwarding[i] name other nodes by indices that ext maps to external IDs,
+// and the mapped lists are sorted, so the document does not depend on how
+// a renderer numbers its nodes.
+func CanonicalNodes(ids []int64, xs, ys, rs []float64, neighbors, forwarding [][]int, hubIn []bool, ext func(int) int64) []NodeState {
 	out := make([]NodeState, len(ids))
 	for i, id := range ids {
 		out[i] = NodeState{
@@ -44,37 +45,39 @@ func CanonicalNodes(ids []int64, xs, ys, rs []float64, neighbors, forwarding [][
 			X:          xs[i],
 			Y:          ys[i],
 			R:          rs[i],
-			Neighbors:  mapIDs(neighbors[i], ids),
-			Forwarding: mapIDs(forwarding[i], ids),
+			Neighbors:  mapIDs(neighbors[i], ext),
+			Forwarding: mapIDs(forwarding[i], ext),
 			HubInCover: hubIn[i],
 		}
 	}
 	return out
 }
 
-func mapIDs(dense []int, ids []int64) []int64 {
-	out := make([]int64, 0, len(dense))
-	for _, d := range dense {
-		out = append(out, ids[d])
+// mapIDs maps a node list to sorted external IDs.
+func mapIDs(list []int, ext func(int) int64) []int64 {
+	out := make([]int64, 0, len(list))
+	for _, u := range list {
+		out = append(out, ext(u))
 	}
+	slices.Sort(out)
 	return out
 }
 
-// stateDoc renders a snapshot as the canonical document.
+// stateDoc renders a snapshot as the canonical document, resolving each
+// live ID through the snapshot's slot index.
 func stateDoc(sn *Snapshot) StateDoc {
 	doc := StateDoc{Epoch: sn.Epoch, AppliedSeq: sn.AppliedSeq, Nodes: []NodeState{}}
 	if sn.Res == nil || len(sn.IDs) == 0 {
 		return doc
 	}
 	n := len(sn.IDs)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	rs := make([]float64, n)
-	for i := range xs {
-		nd := sn.Res.Node(i)
+	xs, ys, rs := make([]float64, n), make([]float64, n), make([]float64, n)
+	nbrs, fwd, hubIn := make([][]int, n), make([][]int, n), make([]bool, n)
+	for i, s := range sn.Slots {
+		nd := sn.Res.Node(s)
 		xs[i], ys[i], rs[i] = nd.Pos.X, nd.Pos.Y, nd.Radius
+		nbrs[i], fwd[i], hubIn[i] = sn.Res.Neighbors(s), sn.Res.Forwarding(s), sn.Res.HubInCover(s)
 	}
-	res := sn.Res.Result()
-	doc.Nodes = CanonicalNodes(sn.IDs, xs, ys, rs, res.Neighbors, res.Forwarding, res.HubInCover)
+	doc.Nodes = CanonicalNodes(sn.IDs, xs, ys, rs, nbrs, fwd, hubIn, sn.Res.Key)
 	return doc
 }

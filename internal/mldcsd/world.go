@@ -1,18 +1,20 @@
 package mldcsd
 
 import (
-	"sort"
+	"slices"
 
+	"repro/internal/engine"
 	"repro/internal/geom"
-	"repro/internal/network"
 )
 
 // world is the authoritative node membership, keyed by the client-visible
-// external node ID. The engine wants dense 0..n−1 IDs; world owns the
-// mapping: dense index i ↔ the i-th smallest live external ID, kept as
-// dense arrays plus one external-ID → dense-index map, so a delta on a
-// present node costs O(1). Only the applier goroutine touches a world, so
-// it needs no locking.
+// external node ID. The engine works on stable slots; world owns the
+// mapping: one engine.Delta per slot (the slot's node, keyed by its
+// external ID, or a leave for a free slot), one external-ID → slot map, a
+// free list, and the sorted live-ID index snapshots publish. A delta on a
+// present node costs O(1), and a membership change costs O(changed) plus
+// one linear merge of the index. Only the applier goroutine touches a
+// world, so it needs no locking.
 //
 // Apply semantics are total — a batch that decoded cleanly always
 // applies, so an accepted (202) ingest can never fail later:
@@ -28,53 +30,57 @@ import (
 // between this file and the oracle is exactly what the chaos harness
 // exists to catch.
 type world struct {
-	// ids maps dense index → external ID, ascending. Snapshots share it, so
-	// it is never written: a membership change builds a fresh slice.
-	ids []int64
-	// nodes are the dense engine inputs (ID = index), index-aligned with
-	// ids. A slot vacated by a leave keeps its place, with ID −1, until the
-	// next commit.
-	nodes []network.Node
+	// ids lists the live external IDs, ascending, and slots[i] is the slot
+	// of ids[i]. Snapshots share both, so they are never written: a
+	// membership change merges into fresh slices.
+	ids   []int64
+	slots []int
+	// state[s] is slot s's engine input; index maps each live external ID
+	// to its slot; free holds the slots of nodes that left, reused last
+	// freed first.
+	state []engine.Delta
 	index map[int64]int
-	// Membership edits since the last commit: nodes that joined (they get
-	// dense indices at the commit) and the number of vacated slots.
-	joins   map[int64]network.Node
-	vacated int
-	// moved lists, once each, the dense indices of present nodes whose
-	// state changed since the last commit; movedBuf is the engine input
-	// takeMoved renders from it.
-	moved     []int
-	movedMark []bool
-	movedBuf  []network.Node
+	free  []int
+	// Membership edits since the last commit: absent nodes that joined
+	// (they take slots at the commit, in ascending ID order) and the IDs
+	// that left the index.
+	joins map[int64]engine.Delta
+	left  []int64
+	// deltas records every slot state change since the last commit, in
+	// order; Apply keeps the last entry of a repeated slot.
+	deltas []engine.Delta
 }
 
 func newWorld() *world {
-	return &world{index: make(map[int64]int), joins: make(map[int64]network.Node)}
+	return &world{index: make(map[int64]int), joins: make(map[int64]engine.Delta)}
 }
 
 // apply folds one decoded batch into the world and reports how many
 // deltas were ignored.
 func (w *world) apply(b Batch) (ignored int) {
 	for _, d := range b.Deltas {
-		if i, ok := w.index[d.Node]; ok {
+		if s, ok := w.index[d.Node]; ok {
+			st := &w.state[s]
 			switch d.Op {
 			case OpJoin:
-				w.set(i, geom.Pt(*d.X, *d.Y), *d.R)
+				st.Pos, st.Radius = geom.Pt(*d.X, *d.Y), *d.R
 			case OpMove:
-				w.set(i, geom.Pt(*d.X, *d.Y), w.nodes[i].Radius)
+				st.Pos = geom.Pt(*d.X, *d.Y)
 			case OpRadius:
-				w.set(i, w.nodes[i].Pos, *d.R)
+				st.Radius = *d.R
 			case OpLeave:
 				delete(w.index, d.Node)
-				w.nodes[i].ID = -1
-				w.vacated++
+				*st = engine.Delta{Slot: s, Leave: true}
+				w.free = append(w.free, s)
+				w.left = append(w.left, d.Node)
 			}
+			w.deltas = append(w.deltas, *st)
 			continue
 		}
 		j, ok := w.joins[d.Node]
 		switch {
 		case d.Op == OpJoin:
-			w.joins[d.Node] = network.Node{Pos: geom.Pt(*d.X, *d.Y), Radius: *d.R}
+			w.joins[d.Node] = engine.Delta{Key: d.Node, Pos: geom.Pt(*d.X, *d.Y), Radius: *d.R}
 		case !ok:
 			ignored++
 		case d.Op == OpMove:
@@ -90,77 +96,63 @@ func (w *world) apply(b Batch) (ignored int) {
 	return ignored
 }
 
-// set updates the present node at dense index i and records it as moved.
-func (w *world) set(i int, pos geom.Point, r float64) {
-	w.nodes[i].Pos, w.nodes[i].Radius = pos, r
-	if !w.movedMark[i] {
-		w.movedMark[i] = true
-		w.moved = append(w.moved, i)
+// commit ends a group: it gives the pending joins slots — freed ones
+// first, then new ones past the range — merges the group's joins and
+// leaves into the sorted live-ID index, and hands the caller the slot
+// changes recorded since the last commit as engine Apply input. The world
+// keeps no reference to them, so a set-up-sized list is not retained.
+// Without a membership edit the index slices stay shared.
+func (w *world) commit() []engine.Delta {
+	ds := w.deltas
+	w.deltas = nil
+	if len(w.joins) == 0 && len(w.left) == 0 {
+		return ds
 	}
-}
-
-// commit folds the pending membership edits into the dense arrays and
-// reports whether membership changed. On a change ids is a fresh slice and
-// the moved set is dropped, because dense indices shift and the caller
-// recomputes everything; without one commit is O(1).
-func (w *world) commit() (membershipChanged bool) {
-	if len(w.joins) == 0 && w.vacated == 0 {
-		return false
-	}
-	for _, i := range w.moved {
-		w.movedMark[i] = false
-	}
-	w.moved = w.moved[:0]
-
 	joined := make([]int64, 0, len(w.joins))
 	for id := range w.joins {
 		joined = append(joined, id)
 	}
-	sort.Slice(joined, func(a, b int) bool { return joined[a] < joined[b] })
-	n := len(w.ids) - w.vacated + len(joined)
-	ids := make([]int64, 0, n)
-	nodes := make([]network.Node, 0, n)
-	// Merge the surviving slots (already ascending) with the sorted joins.
-	k := 0
-	for i, id := range w.ids {
-		if w.nodes[i].ID < 0 {
-			continue // vacated
+	slices.Sort(joined)
+	joinedSlots := make([]int, len(joined))
+	w.state = slices.Grow(w.state, max(0, len(joined)-len(w.free)))
+	ds = slices.Grow(ds, len(joined))
+	for i, id := range joined {
+		s := len(w.state)
+		if k := len(w.free); k > 0 {
+			s, w.free = w.free[k-1], w.free[:k-1]
+		} else {
+			w.state = append(w.state, engine.Delta{})
 		}
-		for ; k < len(joined) && joined[k] < id; k++ {
-			ids = append(ids, joined[k])
-			nodes = append(nodes, w.joins[joined[k]])
-		}
-		ids = append(ids, id)
-		nodes = append(nodes, w.nodes[i])
+		st := w.joins[id]
+		st.Slot = s
+		w.state[s] = st
+		w.index[id] = s
+		joinedSlots[i] = s
+		ds = append(ds, st)
 	}
-	for ; k < len(joined); k++ {
-		ids = append(ids, joined[k])
-		nodes = append(nodes, w.joins[joined[k]])
-	}
-	clear(w.index)
-	for i, id := range ids {
-		nodes[i].ID = i
-		w.index[id] = i
-	}
-	w.ids, w.nodes = ids, nodes
-	clear(w.joins)
-	w.vacated = 0
-	if cap(w.movedMark) < n {
-		w.movedMark = make([]bool, n)
-	}
-	w.movedMark = w.movedMark[:n]
-	return true
-}
+	slices.Sort(w.left)
 
-// takeMoved returns the committed nodes changed since the last commit,
-// each once, as engine Move input (valid until the next call), and resets
-// the moved set.
-func (w *world) takeMoved() []network.Node {
-	w.movedBuf = w.movedBuf[:0]
-	for _, i := range w.moved {
-		w.movedBuf = append(w.movedBuf, w.nodes[i])
-		w.movedMark[i] = false
+	// One linear merge: the old index minus the IDs that left, plus the
+	// joined IDs. An ID that left and rejoined is in both lists and takes
+	// its new slot.
+	n := len(w.ids) - len(w.left) + len(joined)
+	ids, slots := make([]int64, 0, n), make([]int, 0, n)
+	l, j := 0, 0
+	for i, id := range w.ids {
+		for ; j < len(joined) && joined[j] < id; j++ {
+			ids, slots = append(ids, joined[j]), append(slots, joinedSlots[j])
+		}
+		if l < len(w.left) && w.left[l] == id {
+			l++
+			continue
+		}
+		ids, slots = append(ids, id), append(slots, w.slots[i])
 	}
-	w.moved = w.moved[:0]
-	return w.movedBuf
+	ids, slots = append(ids, joined[j:]...), append(slots, joinedSlots[j:]...)
+	w.ids, w.slots = ids, slots
+	// A fresh map, not clear: a cleared map keeps its buckets, and the
+	// set-up group's would hold megabytes for the life of the process.
+	w.joins = make(map[int64]engine.Delta)
+	w.left = w.left[:0]
+	return ds
 }

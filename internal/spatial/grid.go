@@ -11,27 +11,35 @@ import (
 	"repro/internal/geom"
 )
 
-// Grid is a uniform-cell spatial hash over a fixed set of points.
+// Grid is a uniform-cell spatial hash over points named by non-negative
+// indices. NewGrid indexes a fixed set; Insert, Remove and Move keep the
+// index current as points appear, disappear and move, so an index need
+// not be contiguous.
 type Grid struct {
-	cell  float64
-	pts   []geom.Point
-	cells map[cellKey][]int
+	cell    float64
+	pts     []geom.Point
+	indexed []bool
+	n       int
+	cells   map[cellKey][]int
 }
 
 type cellKey struct{ x, y int }
 
-// NewGrid indexes the points with the given cell size. A good cell size is
-// the typical query radius; it must be positive.
+// NewGrid indexes the points, point i under index i, with the given cell
+// size. A good cell size is the typical query radius; it must be positive.
 func NewGrid(pts []geom.Point, cell float64) *Grid {
 	if !(cell > 0) {
 		panic("spatial: cell size must be positive")
 	}
 	g := &Grid{
-		cell:  cell,
-		pts:   append([]geom.Point(nil), pts...),
-		cells: make(map[cellKey][]int, len(pts)),
+		cell:    cell,
+		pts:     append([]geom.Point(nil), pts...),
+		indexed: make([]bool, len(pts)),
+		n:       len(pts),
+		cells:   make(map[cellKey][]int, len(pts)),
 	}
 	for i, p := range pts {
+		g.indexed[i] = true
 		k := g.key(p)
 		g.cells[k] = append(g.cells[k], i)
 	}
@@ -43,35 +51,70 @@ func (g *Grid) key(p geom.Point) cellKey {
 }
 
 // Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.pts) }
+func (g *Grid) Len() int { return g.n }
 
 // NumCells returns the number of occupied cells, len(Cells()) in O(1).
 func (g *Grid) NumCells() int { return len(g.cells) }
+
+// mustIndexed panics unless point i is indexed.
+func (g *Grid) mustIndexed(i int) {
+	if i < 0 || i >= len(g.pts) || !g.indexed[i] {
+		panic("spatial: point not indexed")
+	}
+}
 
 // CellCoord returns the integer coordinates of the grid cell currently
 // holding point i — the same key Cells() partitions and sorts by. Callers
 // use it to group points by owning cell without materializing Cells().
 func (g *Grid) CellCoord(i int) (x, y int) {
-	if i < 0 || i >= len(g.pts) {
-		panic("spatial: index out of range")
-	}
+	g.mustIndexed(i)
 	k := g.key(g.pts[i])
 	return k.x, k.y
+}
+
+// Insert indexes point i at p. The index must not be indexed already; it
+// may lie past every index seen so far.
+func (g *Grid) Insert(i int, p geom.Point) {
+	if i < 0 || i < len(g.pts) && g.indexed[i] {
+		panic("spatial: point already indexed")
+	}
+	if i >= len(g.pts) {
+		g.pts = append(g.pts, make([]geom.Point, i+1-len(g.pts))...)
+		g.indexed = append(g.indexed, make([]bool, i+1-len(g.indexed))...)
+	}
+	g.pts[i] = p
+	g.indexed[i] = true
+	g.n++
+	k := g.key(p)
+	g.cells[k] = append(g.cells[k], i)
+}
+
+// Remove drops point i from the index.
+func (g *Grid) Remove(i int) {
+	g.mustIndexed(i)
+	g.unlink(i, g.key(g.pts[i]))
+	g.indexed[i] = false
+	g.n--
 }
 
 // Move relocates point i to p, updating the index. The grid stores its
 // own copy of the coordinates, so the caller's slice is not modified.
 func (g *Grid) Move(i int, p geom.Point) {
-	if i < 0 || i >= len(g.pts) {
-		panic("spatial: index out of range")
-	}
+	g.mustIndexed(i)
 	old := g.key(g.pts[i])
 	g.pts[i] = p
 	nk := g.key(p)
 	if old == nk {
 		return
 	}
-	cell := g.cells[old]
+	g.unlink(i, old)
+	g.cells[nk] = append(g.cells[nk], i)
+}
+
+// unlink removes point i from cell k's list, dropping the cell when it
+// empties.
+func (g *Grid) unlink(i int, k cellKey) {
+	cell := g.cells[k]
 	for j, idx := range cell {
 		if idx == i {
 			cell[j] = cell[len(cell)-1]
@@ -80,19 +123,18 @@ func (g *Grid) Move(i int, p geom.Point) {
 		}
 	}
 	if len(cell) == 0 {
-		delete(g.cells, old)
+		delete(g.cells, k)
 	} else {
-		g.cells[old] = cell
+		g.cells[k] = cell
 	}
-	g.cells[nk] = append(g.cells[nk], i)
 }
 
 // Cells returns the occupied grid cells as slices of point indices, in a
 // deterministic order (sorted by cell coordinates). Together the slices
-// partition [0, Len()), which makes them natural shards for whole-index
+// partition the indexed points, which makes them natural shards for whole-index
 // passes: nearby points share a cell, so per-cell work has good locality.
 // The inner slices alias the grid's internal storage — callers must not
-// modify them, and Move invalidates them.
+// modify them, and Insert, Remove and Move invalidate them.
 func (g *Grid) Cells() [][]int {
 	keys := make([]cellKey, 0, len(g.cells))
 	for k := range g.cells {

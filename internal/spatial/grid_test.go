@@ -236,3 +236,90 @@ func TestCellCoordOutOfRangePanics(t *testing.T) {
 	}()
 	g.CellCoord(1)
 }
+
+// TestInsertRemoveMatchesBruteForce drives random inserts (some past every
+// index seen so far), removals and moves, then checks Len, NumCells, the
+// Cells partition and every query against a brute-force scan of the
+// indexed points.
+func TestInsertRemoveMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	g := NewGrid(nil, 1)
+	live := map[int]geom.Point{}
+	for step := 0; step < 2000; step++ {
+		i := rng.Intn(150)
+		p := geom.Pt(rng.Float64()*10, rng.Float64()*10)
+		if _, ok := live[i]; !ok {
+			g.Insert(i, p)
+			live[i] = p
+		} else if rng.Intn(2) == 0 {
+			g.Remove(i)
+			delete(live, i)
+		} else {
+			g.Move(i, p)
+			live[i] = p
+		}
+	}
+	if g.Len() != len(live) {
+		t.Fatalf("Len = %d, want %d", g.Len(), len(live))
+	}
+	seen := 0
+	for _, cell := range g.Cells() {
+		x, y := g.CellCoord(cell[0])
+		for _, i := range cell {
+			if _, ok := live[i]; !ok {
+				t.Fatalf("removed point %d still in a cell", i)
+			}
+			if cx, cy := g.CellCoord(i); cx != x || cy != y {
+				t.Fatalf("point %d listed in cell (%d,%d) but CellCoord says (%d,%d)", i, x, y, cx, cy)
+			}
+		}
+		seen += len(cell)
+	}
+	if seen != len(live) || g.NumCells() != len(g.Cells()) {
+		t.Fatalf("cells hold %d of %d points; NumCells %d, Cells %d", seen, len(live), g.NumCells(), len(g.Cells()))
+	}
+	for q := 0; q < 50; q++ {
+		center := geom.Pt(rng.Float64()*10, rng.Float64()*10)
+		radius := rng.Float64() * 3
+		got := g.Within(center, radius)
+		sort.Ints(got)
+		var want []int
+		for i, p := range live {
+			if geom.LinkWithin(p.Dist(center), radius) {
+				want = append(want, i)
+			}
+		}
+		sort.Ints(want)
+		if len(got) != len(want) {
+			t.Fatalf("Within = %v, brute force %v", got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("Within = %v, brute force %v", got, want)
+			}
+		}
+	}
+}
+
+// TestInsertRemoveMisusePanics: inserting an indexed point, or removing,
+// moving or locating an absent one, panics instead of corrupting a cell.
+func TestInsertRemoveMisusePanics(t *testing.T) {
+	g := NewGrid([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}, 1)
+	g.Remove(1)
+	for name, f := range map[string]func(){
+		"insert indexed":  func() { g.Insert(0, geom.Pt(2, 2)) },
+		"insert negative": func() { g.Insert(-1, geom.Pt(2, 2)) },
+		"remove removed":  func() { g.Remove(1) },
+		"move removed":    func() { g.Move(1, geom.Pt(2, 2)) },
+		"coord removed":   func() { g.CellCoord(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

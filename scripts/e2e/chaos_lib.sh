@@ -17,8 +17,9 @@ e2e_prepare_logs() {
     mkdir -p "$E2E_LOG_DIR"
 }
 
-# e2e_run_seeds <seeds> <actions> — fresh-seed chaos run, both stream
-# shapes (mixed churn and the pure-mobility kinetic-repair profile).
+# e2e_run_seeds <seeds> <actions> — fresh-seed chaos run, all three
+# stream shapes (mixed, the pure-mobility kinetic-repair profile and the
+# membership-heavy churn profile).
 # Failing seeds are auto-banked into
 # internal/e2e/testdata/regression_seeds.json; the driver prints a
 # reminder to commit the bank when that happens.
@@ -27,7 +28,7 @@ e2e_run_seeds() {
     actions="$2"
     echo "chaos: $seeds seeds x $actions actions (logs: $E2E_LOG_DIR)"
     if ! E2E_SEEDS="$seeds" E2E_ACTIONS="$actions" \
-        go test -count=1 -run 'TestChaosSeeds|TestChaosMobilitySeeds' ./internal/e2e/; then
+        go test -count=1 -run 'TestChaosSeeds|TestChaosMobilitySeeds|TestChaosChurnSeeds' ./internal/e2e/; then
         echo "chaos: FAILED — check $E2E_LOG_DIR and commit any new entries in" >&2
         echo "chaos:          internal/e2e/testdata/regression_seeds.json" >&2
         return 1
