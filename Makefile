@@ -125,6 +125,7 @@ fuzz:
 	go test -fuzz=FuzzSkylineInvariants -fuzztime=60s ./internal/skyline/
 	go test -fuzz=FuzzMergeAgainstNaive -fuzztime=60s ./internal/skyline/
 	go test -fuzz=FuzzKineticRepair -fuzztime=60s ./internal/skyline/
+	go test -fuzz=FuzzCrossingAngles -fuzztime=60s ./internal/skyline/
 	go test -fuzz=FuzzSelectorInvariants -fuzztime=60s ./internal/forwarding/
 	go test -fuzz=FuzzEngineVsSequential -fuzztime=60s ./internal/engine/
 
@@ -133,6 +134,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzSkylineInvariants -fuzztime=10s ./internal/skyline/
 	go test -run='^$$' -fuzz=FuzzMergeAgainstNaive -fuzztime=10s ./internal/skyline/
 	go test -run='^$$' -fuzz=FuzzKineticRepair -fuzztime=10s ./internal/skyline/
+	go test -run='^$$' -fuzz=FuzzCrossingAngles -fuzztime=10s ./internal/skyline/
 	go test -run='^$$' -fuzz=FuzzSelectorInvariants -fuzztime=10s ./internal/forwarding/
 	go test -run='^$$' -fuzz=FuzzEngineVsSequential -fuzztime=10s ./internal/engine/
 

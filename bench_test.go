@@ -99,7 +99,7 @@ func BenchmarkSkylineScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkSkylineAlgorithms compares the four skyline constructions at a
+// BenchmarkSkylineAlgorithms compares the three skyline constructions at a
 // fixed size (the naive oracle's O(n² log n) shows immediately).
 func BenchmarkSkylineAlgorithms(b *testing.B) {
 	const n = 512
@@ -111,9 +111,6 @@ func BenchmarkSkylineAlgorithms(b *testing.B) {
 		{"dnc", skyline.Compute},
 		{"incremental", skyline.ComputeIncremental},
 		{"naive", skyline.ComputeNaive},
-		{"parallel", func(d []geom.Disk) (skyline.Skyline, error) {
-			return skyline.ComputeParallel(d, 0)
-		}},
 	}
 	for _, alg := range algs {
 		b.Run(alg.name, func(b *testing.B) {

@@ -43,7 +43,6 @@ func run(args []string, sigs chan os.Signal) int {
 		maxBatch   = fs.Int("max-batch", 4096, "max deltas per ingest batch")
 		maxBody    = fs.Int64("max-body", 1<<20, "max ingest body bytes")
 		workers    = fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
-		noCache    = fs.Bool("no-cache", false, "disable the engine skyline cache")
 		eventsPath = fs.String("events", "", "write a JSONL event trace to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -72,7 +71,6 @@ func run(args []string, sigs chan os.Signal) int {
 		MaxBatchDeltas: *maxBatch,
 		MaxBodyBytes:   *maxBody,
 		EngineWorkers:  *workers,
-		DisableCache:   *noCache,
 		Registry:       reg,
 	})
 	srv, err := httpserve.Start(*addr, s.Handler())

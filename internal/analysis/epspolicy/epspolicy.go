@@ -41,17 +41,19 @@ const Name = "epspolicy"
 
 var Analyzer = &analysis.Analyzer{
 	Name: Name,
-	Doc: "flag raw comparisons against geom.Eps/AngleEps/RhoEps outside internal/geom;\n" +
-		"tolerance comparisons must use the predicates in internal/geom (docs/NUMERICS.md)",
+	Doc: "flag raw comparisons against geom.Eps/AngleEps/RhoEps/FarRootMargin/FarRootResidual outside\n" +
+		"internal/geom; tolerance comparisons must use the predicates in internal/geom (docs/NUMERICS.md)",
 	Run: run,
 }
 
 // predicateHint maps each tolerance constant to the predicates that
 // replace raw comparisons with it.
 var predicateHint = map[string]string{
-	"Eps":      "LinkWithin, LinkWithin2, Reaches, LengthEq, ZeroLength",
-	"AngleEps": "AngleEq, AngleLess, AngleInSpan, AngleSliver, CoversAngle",
-	"RhoEps":   "RhoCmp, RhoCovers",
+	"Eps":             "LinkWithin, LinkWithin2, Reaches, LengthEq, ZeroLength",
+	"AngleEps":        "AngleEq, AngleLess, AngleInSpan, AngleSliver, CoversAngle",
+	"RhoEps":          "RhoCmp, RhoCovers",
+	"FarRootMargin":   "HubWellInside",
+	"FarRootResidual": "OnCircle",
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -84,8 +86,7 @@ func (c *checker) epsConst(obj types.Object) (string, bool) {
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != GeomPath {
 		return "", false
 	}
-	switch obj.Name() {
-	case "Eps", "AngleEps", "RhoEps":
+	if _, ok := predicateHint[obj.Name()]; ok {
 		return obj.Name(), true
 	}
 	return "", false

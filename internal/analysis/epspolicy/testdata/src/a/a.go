@@ -36,6 +36,13 @@ func chained(a, b float64) bool {
 	return a < b-width // want `comparison uses geom\.RhoEps \(via width\)`
 }
 
+// hubClear re-derives the far-root margin test: the margin is a
+// tolerance like the others, so only geom.HubWellInside compares
+// against it.
+func hubClear(norm, r float64) bool {
+	return norm <= (1-tol.FarRootMargin)*r // want `comparison uses geom\.FarRootMargin outside internal/geom; use a geom predicate \(HubWellInside\)`
+}
+
 const tieEps = 1e-9 // want `local epsilon constant "tieEps" outside internal/geom`
 
 func allowed(d, r float64) bool {

@@ -8,10 +8,12 @@ package geom
 import "math"
 
 const (
-	Eps      = 1e-9
-	AngleEps = 1e-9
-	RhoEps   = Eps
-	TwoPi    = 2 * math.Pi
+	Eps             = 1e-9
+	AngleEps        = 1e-9
+	RhoEps          = Eps
+	TwoPi           = 2 * math.Pi
+	FarRootMargin   = 0x1p-10
+	FarRootResidual = 0x1p-40
 )
 
 func LinkWithin(dist, r float64) bool { return dist <= r+Eps }

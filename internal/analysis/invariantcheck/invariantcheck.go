@@ -1,7 +1,7 @@
 // Package invariantcheck protects the skyline degeneracy fallback path.
 //
-// Every exported skyline entry point (Compute, ComputeParallel,
-// ComputeIncremental, InsertDisk, ...) returns an error precisely because
+// Every exported skyline entry point (Compute, ComputeIncremental,
+// InsertDisk, ...) returns an error precisely because
 // degenerate inputs — coincident hubs, zero radii, near-tangent disks —
 // can defeat the divide-and-conquer merge; the whole-network engine
 // re-validates every envelope (Skyline.CheckInvariants) and falls back to

@@ -12,8 +12,20 @@ const TwoPi = 2 * math.Pi
 const AngleEps = 1e-9
 
 // NormalizeAngle maps an angle to the canonical range [0, 2π).
+//
+// math.Mod returns θ itself for −2π < θ < 2π, and θ − 2π for
+// 2π ≤ θ < 4π, where the subtraction is exact (Sterbenz's lemma). The
+// kernel's angles (atan2 results and hub-tangent candidates at ±π/2 from
+// one) all fall in those two ranges, so they skip the Mod loop with the
+// same bits it would return (docs/NUMERICS.md, "Bit-identical rewrites").
 func NormalizeAngle(theta float64) float64 {
-	theta = math.Mod(theta, TwoPi)
+	switch {
+	case theta > -TwoPi && theta < TwoPi:
+	case theta >= TwoPi && theta < 2*TwoPi:
+		return theta - TwoPi
+	default:
+		theta = math.Mod(theta, TwoPi)
+	}
 	if theta < 0 {
 		theta += TwoPi
 	}
@@ -47,6 +59,39 @@ func AngleInSpan(x, a, b float64) bool {
 // linear span (a, b), i.e. more than AngleEps away from both endpoints.
 func AngleStrictlyInSpan(x, a, b float64) bool {
 	return x > a+AngleEps && x < b-AngleEps
+}
+
+// octantBounds are the bounds kπ/4 of the octants MayBeStrictlyInSpan
+// sorts points into.
+var octantBounds = [9]float64{0, math.Pi / 4, math.Pi / 2, 3 * math.Pi / 4, math.Pi, 5 * math.Pi / 4, 3 * math.Pi / 2, 7 * math.Pi / 4, TwoPi}
+
+// MayBeStrictlyInSpan reports whether the polar angle of p could lie
+// strictly inside the span (a, b): a false result proves that
+// AngleStrictlyInSpan(p.Angle(), a, b) is false, without the atan2. It
+// sorts p into the octant [kπ/4, (k+1)π/4] that holds its angle, by the
+// signs of its coordinates and |x| against |y|, and reports whether the
+// octant meets [a, b]. p.Angle() is within a few ulps of the octant, far
+// inside the AngleEps margins of AngleStrictlyInSpan. A point on an axis,
+// a NaN, or a span that starts below 0 (p.Angle() can wrap from just
+// below 2π to 0) is never ruled out.
+func MayBeStrictlyInSpan(p Point, a, b float64) bool {
+	ax, ay := math.Abs(p.X), math.Abs(p.Y)
+	if !(a >= 0 && ax > 0 && ay > 0) {
+		return true
+	}
+	// Quadrants 0..3 counterclockwise; within one, the octant nearer the
+	// x axis comes first in quadrants 0 and 2 and second in 1 and 3.
+	below, left := p.Y < 0, p.X < 0
+	q := 2*b2i(below) + b2i(left != below)
+	k := 2*q + b2i((ay > ax) != (q&1 == 1))
+	return octantBounds[k+1] > a && octantBounds[k] < b
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // CCWDelta returns the counterclockwise angular distance from a to b in

@@ -65,8 +65,15 @@ func (p Point) Eq(q Point) bool {
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6g, %.6g)", p.X, p.Y) }
 
-// Unit returns the unit vector at polar angle theta.
-func Unit(theta float64) Point { return Point{math.Cos(theta), math.Sin(theta)} }
+// Unit returns the unit vector at polar angle theta. math.Sincos runs the
+// argument reduction of math.Sin and math.Cos once instead of twice, and
+// the same polynomials, so the result is bit-identical to
+// (math.Cos(theta), math.Sin(theta)) (docs/NUMERICS.md, "Bit-identical
+// rewrites").
+func Unit(theta float64) Point {
+	sin, cos := math.Sincos(theta)
+	return Point{cos, sin}
+}
 
 // Midpoint returns the midpoint of p and q.
 func Midpoint(p, q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2} }

@@ -89,3 +89,37 @@ func AngleSliver(a, b float64) bool { return b-a <= AngleEps }
 // endpoints. It is the arc-membership predicate used by the runtime
 // invariant checks.
 func CoversAngle(x, start, end float64) bool { return AngleInSpan(x, start, end) }
+
+// FarRootMargin is the relative hub margin of HubWellInside: the disk's
+// center lies within (1 − FarRootMargin)·r of the hub, so the hub is
+// inside it by at least about r/1024.
+const FarRootMargin = 0x1p-10
+
+// FarRootResidual is the relative residual OnCircle accepts:
+// |‖p − c‖² − r²| ≤ FarRootResidual·r².
+const FarRootResidual = 0x1p-40
+
+// HubWellInside reports whether d contains the hub (the origin) by the
+// far-root margin: ‖c‖ ≤ (1 − FarRootMargin)·r, with r large enough that
+// the margin exceeds 2·Eps and r² far from overflow. Such a disk is not
+// hub-tangent (LengthEq(d.C.Norm(), d.R) is false), and its circle meets
+// every ray from the hub exactly once. Together with OnCircle it proves
+// the skyline's far-root recheck passes (docs/NUMERICS.md, "The far-root
+// margin"). It costs no square root.
+func HubWellInside(d Disk) bool {
+	in := (1 - FarRootMargin) * d.R
+	return d.C.Norm2() <= in*in && d.R*FarRootMargin >= 2*Eps && d.R <= 0x1p450
+}
+
+// OnCircle reports whether p lies on the circle ∂B(d.C, d.R) to within the
+// relative residual FarRootResidual. For a disk with HubWellInside, a
+// point on its circle is, provably, the far intersection of the hub's ray
+// through it: the far-root recheck |d.RayDist(p.Angle()) − ‖p‖| ≤
+// 1e-7·(1 + ‖p‖) passes without its atan2, sine, cosine and square roots.
+// A circle intersection of two near-coincident or barely-touching circles
+// may fail it; a false result proves nothing, and the caller then runs
+// the recheck.
+func OnCircle(d Disk, p Point) bool {
+	r2 := d.R * d.R
+	return math.Abs(p.Dist2(d.C)-r2) <= FarRootResidual*r2
+}

@@ -225,29 +225,6 @@ func TestNeighborCoverAndContainsHub(t *testing.T) {
 	}
 }
 
-func TestSolveParallelMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	for trial := 0; trial < 20; trial++ {
-		ls := randomLocalSet(rng, 1+rng.Intn(20), trial%2 == 0)
-		a, err := Solve(ls)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := SolveParallel(ls, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Cover) != len(b.Cover) {
-			t.Fatalf("parallel cover differs: %v vs %v", a.Cover, b.Cover)
-		}
-		for i := range a.Cover {
-			if a.Cover[i] != b.Cover[i] {
-				t.Fatalf("parallel cover differs: %v vs %v", a.Cover, b.Cover)
-			}
-		}
-	}
-}
-
 func TestSolveRejectsInvalid(t *testing.T) {
 	ls := LocalSet{Hub: geom.NewDisk(0, 0, 1), Neighbors: []geom.Disk{geom.NewDisk(9, 0, 1)}}
 	if _, err := Solve(ls); err == nil {

@@ -70,9 +70,6 @@ type Config struct {
 	Coalesce int
 	// EngineWorkers is passed to engine.Config.Workers (≤ 0 GOMAXPROCS).
 	EngineWorkers int
-	// DisableCache turns the engine's skyline cache off (it defaults on:
-	// mobility streams replay neighborhoods constantly).
-	DisableCache bool
 	// Registry receives service metrics; nil disables instrumentation.
 	Registry *obs.Registry
 
@@ -204,7 +201,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
-		eng:         engine.New(engine.Config{Workers: cfg.EngineWorkers, Cache: !cfg.DisableCache}),
+		eng:         engine.New(engine.Config{Workers: cfg.EngineWorkers}),
 		world:       newWorld(),
 		queue:       make(chan ingestItem, cfg.QueueDepth),
 		applierDone: make(chan struct{}),

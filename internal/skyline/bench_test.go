@@ -74,21 +74,6 @@ func BenchmarkComputeInto(b *testing.B) {
 	}
 }
 
-func BenchmarkComputeParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	disks := randomLocalSet(rng, 8192)
-	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ComputeParallel(disks, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // skylineBenchEntry is one input-size row in BENCH_skyline.json.
 type skylineBenchEntry struct {
 	N                   int     `json:"n"`

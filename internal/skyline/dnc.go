@@ -228,12 +228,10 @@ func resolveSpan(disks []geom.Disk, out Skyline, a, b float64, u, v int, coalesc
 	n := 0
 	cuts[n] = a
 	n++
-	cands, cn := crossingAngles(disks, u, v)
+	cands, cn := crossingAngles(disks, u, v, a, b)
 	for _, c := range cands[:cn] {
-		if geom.AngleStrictlyInSpan(c, a, b) {
-			cuts[n] = c
-			n++
-		}
+		cuts[n] = c
+		n++
 	}
 	cuts[n] = b
 	n++

@@ -117,10 +117,12 @@ func hubTangent(d geom.Disk) bool {
 	return geom.LengthEq(d.C.Norm(), d.R)
 }
 
-// crossingAngles returns candidate angles (measured at the origin, in
-// [0, 2π)) at which the envelope curves ρ_i and ρ_j may cross. Generic
-// crossings are the circle–circle intersection points of disks i and j
-// that are the far ray intersection for both circles — at most two.
+// crossingAngles returns the candidate angles strictly inside the span
+// (a, b), as geom.AngleStrictlyInSpan decides, at which the envelope
+// curves ρ_i and ρ_j may cross; the angles are measured at the origin, in
+// [0, 2π). Generic crossings are the circle–circle intersection points of
+// disks i and j that are the far ray intersection for both circles — at
+// most two. A span of (−∞, +∞) keeps every candidate.
 //
 // One degenerate family needs extra candidates: a disk whose boundary
 // passes exactly through the hub (‖c‖ = r) has ρ ≡ 0 on the closed
@@ -129,34 +131,58 @@ func hubTangent(d geom.Disk) bool {
 // angle(c) ± π/2 rather than at any circle intersection. Those angles are
 // appended as candidates; spurious candidates are harmless (the merge
 // re-evaluates the winner on every sub-span).
-func crossingAngles(disks []geom.Disk, i, j int) (out [6]float64, n int) {
+func crossingAngles(disks []geom.Disk, i, j int, a, b float64) (out [6]float64, n int) {
+	di, dj := disks[i], disks[j]
+	inside := [2]bool{geom.HubWellInside(di), geom.HubWellInside(dj)}
 	var buf [2]geom.Point
-	cnt, ok := geom.IntersectCircles(disks[i], disks[j], &buf)
+	cnt, ok := geom.IntersectCircles(di, dj, &buf)
 	if ok {
 		for _, p := range buf[:cnt] {
+			// Most intersection points lie outside the span; an octant
+			// test rules out about four in five of those before the atan2.
+			if !geom.MayBeStrictlyInSpan(p, a, b) {
+				continue
+			}
 			theta := p.Angle()
-			e := geom.Unit(theta)
-			dist := p.Norm()
+			if !geom.AngleStrictlyInSpan(theta, a, b) {
+				continue
+			}
 			// Far-root consistency: the crossing of the ρ curves happens
 			// only where this intersection point is the *far* intersection
-			// of the ray with both circles. The tolerance is proportional
-			// to the local scale to absorb the sqrt in RayDist.
-			tol := 1e-7 * (1 + dist)
-			if math.Abs(disks[i].RayDistDir(e)-dist) <= tol &&
-				math.Abs(disks[j].RayDistDir(e)-dist) <= tol {
+			// of the ray with both circles. A circle that holds the hub
+			// well inside meets the ray there and nowhere else
+			// (Corollary 2), so a point on two such circles passes
+			// without trigonometry; the rest (hub-tangent disks, points
+			// of near-coincident or grazing circles) take the recheck.
+			if inside[0] && inside[1] && geom.OnCircle(di, p) && geom.OnCircle(dj, p) ||
+				farRootRecheck(di, dj, p, theta) {
 				out[n] = theta
 				n++
 			}
 		}
 	}
-	for _, d := range [2]geom.Disk{disks[i], disks[j]} {
-		if geom.LengthEq(d.C.Norm(), d.R) {
-			a := d.C.Angle()
-			out[n] = geom.NormalizeAngle(a + math.Pi/2)
-			n++
-			out[n] = geom.NormalizeAngle(a - math.Pi/2)
-			n++
+	for k, d := range [2]geom.Disk{di, dj} {
+		// A disk with the hub well inside is provably not hub-tangent.
+		if !inside[k] && geom.LengthEq(d.C.Norm(), d.R) {
+			c := d.C.Angle()
+			for _, t := range [2]float64{geom.NormalizeAngle(c + math.Pi/2), geom.NormalizeAngle(c - math.Pi/2)} {
+				if geom.AngleStrictlyInSpan(t, a, b) {
+					out[n] = t
+					n++
+				}
+			}
 		}
 	}
 	return out, n
+}
+
+// farRootRecheck evaluates far-root consistency directly: both circles'
+// ray distances along the direction theta of p must equal ‖p‖. The
+// tolerance is proportional to the local scale to absorb the sqrt in
+// RayDist.
+func farRootRecheck(d, e geom.Disk, p geom.Point, theta float64) bool {
+	u := geom.Unit(theta)
+	dist := p.Norm()
+	tol := 1e-7 * (1 + dist)
+	return math.Abs(d.RayDistDir(u)-dist) <= tol && math.Abs(e.RayDistDir(u)-dist) <= tol
 }

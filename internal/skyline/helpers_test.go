@@ -112,3 +112,15 @@ func sameSet(t *testing.T, got, want []int, label string) {
 		}
 	}
 }
+
+// computeRange computes the skyline of disks[lo:hi], with disk indices
+// into the whole slice, into a fresh slice using a pooled Scratch. The
+// merge tests build their two input halves with it.
+func computeRange(disks []geom.Disk, lo, hi int) Skyline {
+	sc := getScratch()
+	view := sc.compute(disks, lo, hi, nil)
+	out := make(Skyline, len(view))
+	copy(out, view)
+	putScratch(sc)
+	return out
+}

@@ -3,7 +3,6 @@ package skyline
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -59,35 +58,6 @@ func TestInstrumentCountsCompute(t *testing.T) {
 	}
 }
 
-func TestInstrumentParallelFanout(t *testing.T) {
-	r := withRegistry(t)
-	rng := rand.New(rand.NewSource(7))
-	disks := randomLocalSet(rng, 4*parallelCutoff)
-	want, err := ComputeParallel(disks, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Gauge(MetricParallelWorkers).Value(); got != 4 {
-		t.Errorf("%s = %g, want 4", MetricParallelWorkers, got)
-	}
-	// 4 workers → spawn depth 2 → 3 internal spawns, 4 sequential leaves.
-	if got := r.Counter(MetricParallelSpawned).Value(); got != 3 {
-		t.Errorf("%s = %d, want 3", MetricParallelSpawned, got)
-	}
-	if got := r.Counter(MetricParallelSequential).Value(); got != 4 {
-		t.Errorf("%s = %d, want 4", MetricParallelSequential, got)
-	}
-	// The instrumented parallel result must still match the sequential one.
-	Instrument(nil)
-	plain, err := Compute(disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(want) {
-		t.Errorf("instrumented parallel skyline has %d arcs, sequential %d", len(want), len(plain))
-	}
-}
-
 // TestLemma8RuntimeCheck is the runtime counterpart of the Lemma 8 proof:
 // adversarial local sets go through the instrumented Compute and the
 // observed arc-count metrics must never exceed the 2n bound — the
@@ -128,17 +98,14 @@ func TestLemma8RuntimeCheck(t *testing.T) {
 		ring[i] = geom.Disk{C: geom.Unit(theta).Scale(0.5), R: 1 + 1e-12*float64(i%2)}
 	}
 	feed("co-circular", ring)
-	// Random stress, both radius models, including the parallel path.
+	// Random stress, both radius models, including large sets.
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(200)
 		feed("random-het", randomLocalSet(rng, n))
 		feed("random-hom", randomHomogeneousSet(rng, n))
 	}
 	for trial := 0; trial < 5; trial++ {
-		disks := randomLocalSet(rng, 3*parallelCutoff)
-		if _, err := ComputeParallel(disks, runtime.GOMAXPROCS(0)); err != nil {
-			t.Fatal(err)
-		}
+		feed("random-large", randomLocalSet(rng, 768))
 	}
 
 	if v := r.Counter(MetricBoundViolations).Value(); v != 0 {

@@ -15,7 +15,6 @@ var algorithms = []struct {
 	{"dnc", Compute},
 	{"naive", ComputeNaive},
 	{"incremental", ComputeIncremental},
-	{"parallel", func(d []geom.Disk) (Skyline, error) { return ComputeParallel(d, 4) }},
 }
 
 func TestSingleDisk(t *testing.T) {

@@ -243,8 +243,8 @@ func TestPublicMergeMatchesSortOracle(t *testing.T) {
 		n := 2 + rng.Intn(40)
 		disks := randomLocalSet(rng, n)
 		half := 1 + rng.Intn(n-1)
-		sa := computeRange(disks, 0, half, nil, 1)
-		sb := computeRange(disks, half, n, nil, 1)
+		sa := computeRange(disks, 0, half)
+		sb := computeRange(disks, half, n)
 		requireSameSkyline(t, "merge", Merge(disks, sa, sb), mergeSortOracle(disks, sa, sb, true))
 
 		sc := getScratch()

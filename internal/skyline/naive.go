@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -22,7 +23,7 @@ func ComputeNaive(disks []geom.Disk) (Skyline, error) {
 	angles := []float64{0, geom.TwoPi}
 	for i := 0; i < len(disks); i++ {
 		for j := i + 1; j < len(disks); j++ {
-			cands, cn := crossingAngles(disks, i, j)
+			cands, cn := crossingAngles(disks, i, j, math.Inf(-1), math.Inf(1))
 			angles = append(angles, cands[:cn]...)
 		}
 	}

@@ -42,10 +42,10 @@ type computeFrame struct {
 	depth   int32
 }
 
-// scratchPool backs the convenience entry points (Compute, Merge,
-// ComputeParallel) that do not take an explicit Scratch: they borrow one
-// here and return it, making their own allocation cost O(1) amortized —
-// the returned result — instead of O(n log n) buffer churn.
+// scratchPool backs the convenience entry points (Compute, Merge) that do
+// not take an explicit Scratch: they borrow one here and return it,
+// making their own allocation cost O(1) amortized — the returned result —
+// instead of O(n log n) buffer churn.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 func getScratch() *Scratch {
@@ -106,11 +106,11 @@ func (sc *Scratch) view(disks []geom.Disk) (Skyline, error) {
 func (sc *Scratch) viewUnchecked(disks []geom.Disk) Skyline {
 	m := skyInstr.Load()
 	if m == nil {
-		return sc.compute(disks, 0, len(disks), nil, 1)
+		return sc.compute(disks, 0, len(disks), nil)
 	}
 	m.computes.Inc()
 	sw := m.computeSeconds.Start()
-	sl := sc.compute(disks, 0, len(disks), m, 1)
+	sl := sc.compute(disks, 0, len(disks), m)
 	sw.Stop()
 	m.recordCompute(len(sl), len(disks))
 	return sl
@@ -123,14 +123,13 @@ func (sc *Scratch) viewUnchecked(disks []geom.Disk) Skyline {
 // its children's slots, so at any moment the arena holds exactly one
 // in-flight skyline per tree level — O(n) arcs total by Lemma 8. The
 // traversal order and midpoint splits are identical to the old recursive
-// version, so results are bit-for-bit unchanged. depth seeds the
-// recursion-depth gauge (ComputeParallel passes its fan-out depth).
+// version, so results are bit-for-bit unchanged.
 //
 //mldcs:hotpath
-func (sc *Scratch) compute(disks []geom.Disk, lo, hi int, m *skyMetrics, depth int) Skyline {
+func (sc *Scratch) compute(disks []geom.Disk, lo, hi int, m *skyMetrics) Skyline {
 	sc.arena = sc.arena[:0]
 	fr := sc.frames[:0]
-	fr = append(fr, computeFrame{lo: int32(lo), hi: int32(hi), depth: int32(depth)})
+	fr = append(fr, computeFrame{lo: int32(lo), hi: int32(hi), depth: 1})
 	for len(fr) > 0 {
 		f := &fr[len(fr)-1]
 		if f.hi-f.lo == 1 {
@@ -162,16 +161,4 @@ func (sc *Scratch) compute(disks []geom.Disk, lo, hi int, m *skyMetrics, depth i
 	}
 	sc.frames = fr
 	return sc.arena
-}
-
-// computeRange computes the skyline of disks[lo:hi] into a fresh slice
-// using a pooled Scratch. It is the building block of the convenience
-// entry points and of ComputeParallel's sequential subtrees.
-func computeRange(disks []geom.Disk, lo, hi int, m *skyMetrics, depth int) Skyline {
-	sc := getScratch()
-	view := sc.compute(disks, lo, hi, m, depth)
-	out := make(Skyline, len(view))
-	copy(out, view)
-	putScratch(sc)
-	return out
 }
