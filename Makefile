@@ -6,9 +6,11 @@
 # bench-skyline` run appends its report here (with git SHA, cores,
 # workers, and latency quantiles), and `make bench-check` gates on the
 # trajectory — the latest run of each configuration vs the median of its
-# predecessors. See docs/OBSERVABILITY.md.
+# predecessors. See docs/OBSERVABILITY.md. GIT_SHA stamps each appended
+# line with the commit the run was built from, suffixed -dirty when the
+# tree had uncommitted changes (--exclude='*' keeps tags out of it).
 TRAJECTORY := results/BENCH_trajectory.jsonl
-GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
+GIT_SHA := $(shell git describe --always --dirty --exclude='*' 2>/dev/null || echo unknown)
 
 all: build lint test
 
@@ -67,8 +69,8 @@ bench:
 	go test -bench=. -benchmem ./...
 	ENGINE_BENCH_OUT=$(CURDIR)/BENCH_engine.json go test -run=TestEngineBenchReport -count=1 ./internal/engine/
 	ENGINE_BENCH_OUT=$(CURDIR)/BENCH_engine_w1.json ENGINE_BENCH_WORKERS=1 go test -run=TestEngineBenchReport -count=1 ./internal/engine/
-	go run ./cmd/benchdiff -append -engine BENCH_engine.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
-	go run ./cmd/benchdiff -append -engine BENCH_engine_w1.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
+	go run ./cmd/benchdiff -append -engine BENCH_engine.json -trajectory $(TRAJECTORY) -sha=$(GIT_SHA)
+	go run ./cmd/benchdiff -append -engine BENCH_engine_w1.json -trajectory $(TRAJECTORY) -sha=$(GIT_SHA)
 	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
 
 # Skyline kernel microbenchmarks + the machine-readable BENCH_skyline.json
@@ -76,7 +78,7 @@ bench:
 bench-skyline:
 	go test -bench='^(BenchmarkCompute|BenchmarkComputeInto)$$' -benchmem ./internal/skyline/
 	SKYLINE_BENCH_OUT=$(CURDIR)/BENCH_skyline.json go test -run=TestSkylineBenchReport -count=1 -v ./internal/skyline/
-	go run ./cmd/benchdiff -append -skyline BENCH_skyline.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
+	go run ./cmd/benchdiff -append -skyline BENCH_skyline.json -trajectory $(TRAJECTORY) -sha=$(GIT_SHA)
 	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
 
 # Regression gate over the committed trajectory (no fresh timing, so it is
@@ -91,7 +93,7 @@ bench-check:
 # gated per cell like every other benchmark source.
 bench-sweep:
 	go run ./cmd/mldcsbench -out $(CURDIR)/BENCH_sweep.json
-	go run ./cmd/benchdiff -append -sweep BENCH_sweep.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
+	go run ./cmd/benchdiff -append -sweep BENCH_sweep.json -trajectory $(TRAJECTORY) -sha=$(GIT_SHA)
 	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
 
 # CI budget: tiny matrix, short ticks, one repetition — exercises every
@@ -101,7 +103,7 @@ bench-sweep-smoke:
 	go run ./cmd/mldcsbench -out $(CURDIR)/results/bench_sweep_smoke.json \
 		-cores 1,2 -workers 1,2 -workloads uniform,zipf -contention 1.2 \
 		-nodes 800 -ticks 5 -benchtime 1x
-	go run ./cmd/benchdiff -append -sweep results/bench_sweep_smoke.json -trajectory $(TRAJECTORY) -sha $(GIT_SHA)
+	go run ./cmd/benchdiff -append -sweep results/bench_sweep_smoke.json -trajectory $(TRAJECTORY) -sha=$(GIT_SHA)
 	go run ./cmd/benchdiff -check -trajectory $(TRAJECTORY)
 
 # CI smoke: every skyline, engine, and obs microbenchmark compiles and

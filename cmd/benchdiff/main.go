@@ -52,19 +52,18 @@ type entry struct {
 	// Cores is the legacy machine descriptor (conflated NumCPU with
 	// GOMAXPROCS); retained so old trajectory lines round-trip and key
 	// separately from current ones.
-	Cores         int     `json:"cores,omitempty"`
-	NumCPU        int     `json:"num_cpu,omitempty"`
-	Gomaxprocs    int     `json:"gomaxprocs,omitempty"`
-	Workers       int     `json:"workers"`
-	MS            float64 `json:"ms"`
-	TickP99MS     float64 `json:"tick_p99_ms,omitempty"`
-	SequentialMS  float64 `json:"sequential_ms,omitempty"`
-	Speedup       float64 `json:"speedup,omitempty"`
-	CacheHitRatio float64 `json:"cache_hit_ratio,omitempty"`
-	NodeP50US     float64 `json:"node_p50_us,omitempty"`
-	NodeP90US     float64 `json:"node_p90_us,omitempty"`
-	NodeP99US     float64 `json:"node_p99_us,omitempty"`
-	NodeP999US    float64 `json:"node_p999_us,omitempty"`
+	Cores        int     `json:"cores,omitempty"`
+	NumCPU       int     `json:"num_cpu,omitempty"`
+	Gomaxprocs   int     `json:"gomaxprocs,omitempty"`
+	Workers      int     `json:"workers"`
+	MS           float64 `json:"ms"`
+	TickP99MS    float64 `json:"tick_p99_ms,omitempty"`
+	SequentialMS float64 `json:"sequential_ms,omitempty"`
+	Speedup      float64 `json:"speedup,omitempty"`
+	NodeP50US    float64 `json:"node_p50_us,omitempty"`
+	NodeP90US    float64 `json:"node_p90_us,omitempty"`
+	NodeP99US    float64 `json:"node_p99_us,omitempty"`
+	NodeP999US   float64 `json:"node_p999_us,omitempty"`
 	// Sweep-only extras (mldcsbench): the cell's whole-network Compute
 	// time, worker load imbalance (max/mean nodes, worst tick), and
 	// work-stealing volume.
@@ -99,17 +98,16 @@ type engineReport struct {
 	Gomaxprocs int `json:"gomaxprocs"`
 	Workers    int `json:"workers"`
 	Workloads  []struct {
-		Workload      string  `json:"workload"`
-		Nodes         int     `json:"nodes"`
-		Workers       int     `json:"workers"`
-		SequentialMS  float64 `json:"sequential_ms"`
-		EngineMS      float64 `json:"engine_ms"`
-		Speedup       float64 `json:"speedup"`
-		CacheHitRatio float64 `json:"cache_hit_ratio"`
-		NodeP50US     float64 `json:"node_p50_us"`
-		NodeP90US     float64 `json:"node_p90_us"`
-		NodeP99US     float64 `json:"node_p99_us"`
-		NodeP999US    float64 `json:"node_p999_us"`
+		Workload     string  `json:"workload"`
+		Nodes        int     `json:"nodes"`
+		Workers      int     `json:"workers"`
+		SequentialMS float64 `json:"sequential_ms"`
+		EngineMS     float64 `json:"engine_ms"`
+		Speedup      float64 `json:"speedup"`
+		NodeP50US    float64 `json:"node_p50_us"`
+		NodeP90US    float64 `json:"node_p90_us"`
+		NodeP99US    float64 `json:"node_p99_us"`
+		NodeP999US   float64 `json:"node_p999_us"`
 	} `json:"workloads"`
 	Update []struct {
 		Workload  string  `json:"workload"`
@@ -138,7 +136,6 @@ type sweepReport struct {
 		TickP99MS       float64 `json:"tick_p99_ms"`
 		WorkerImbalance float64 `json:"worker_imbalance"`
 		Steals          int     `json:"steals"`
-		CacheHitRatio   float64 `json:"cache_hit_ratio"`
 	} `json:"cells"`
 }
 
@@ -270,20 +267,19 @@ func engineEntries(path, sha, ts string) ([]entry, error) {
 	for _, w := range rep.Workloads {
 		out = append(out, entry{
 			TS: ts, SHA: sha,
-			Source:        "engine",
-			Workload:      w.Workload,
-			Nodes:         w.Nodes,
-			NumCPU:        rep.NumCPU,
-			Gomaxprocs:    rep.Gomaxprocs,
-			Workers:       w.Workers,
-			MS:            w.EngineMS,
-			SequentialMS:  w.SequentialMS,
-			Speedup:       w.Speedup,
-			CacheHitRatio: w.CacheHitRatio,
-			NodeP50US:     w.NodeP50US,
-			NodeP90US:     w.NodeP90US,
-			NodeP99US:     w.NodeP99US,
-			NodeP999US:    w.NodeP999US,
+			Source:       "engine",
+			Workload:     w.Workload,
+			Nodes:        w.Nodes,
+			NumCPU:       rep.NumCPU,
+			Gomaxprocs:   rep.Gomaxprocs,
+			Workers:      w.Workers,
+			MS:           w.EngineMS,
+			SequentialMS: w.SequentialMS,
+			Speedup:      w.Speedup,
+			NodeP50US:    w.NodeP50US,
+			NodeP90US:    w.NodeP90US,
+			NodeP99US:    w.NodeP99US,
+			NodeP999US:   w.NodeP999US,
 		})
 	}
 	// Update rows gate on the median tick (MS = tick_p50_ms); the p99 tail
@@ -356,7 +352,6 @@ func sweepEntries(path, sha, ts string) ([]entry, error) {
 			MS:              c.TickP50MS,
 			TickP99MS:       c.TickP99MS,
 			ComputeMS:       c.ComputeMS,
-			CacheHitRatio:   c.CacheHitRatio,
 			WorkerImbalance: c.WorkerImbalance,
 			Steals:          c.Steals,
 		})

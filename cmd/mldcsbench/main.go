@@ -56,7 +56,6 @@ type sweepCell struct {
 	WorkerMaxNodes  int     `json:"worker_max_nodes"`
 	WorkerMeanNodes float64 `json:"worker_mean_nodes"`
 	Steals          int     `json:"steals"`
-	CacheHitRatio   float64 `json:"cache_hit_ratio"`
 }
 
 // sweepReport is the machine-readable output of one sweep run.
@@ -246,13 +245,12 @@ func runCell(cc cellConfig) (sweepCell, error) {
 		Spread:     cc.spread,
 		MoveFrac:   0.02,
 	}
-	var hits, misses int64
 	for rep := 0; rep < cc.reps; rep++ {
 		w, err := mobility.NewHotspotWorkload(hcfg, rand.New(rand.NewSource(cc.seed)))
 		if err != nil {
 			return cell, err
 		}
-		e := engine.New(engine.Config{Workers: cc.workers, Cache: true})
+		e := engine.New(engine.Config{Workers: cc.workers})
 		start := time.Now()
 		res, err := e.Compute(w.Nodes())
 		if err != nil {
@@ -263,8 +261,6 @@ func runCell(cc cellConfig) (sweepCell, error) {
 			cell.ComputeMS = computeMS
 		}
 		cell.Nodes = res.Stats.Nodes
-		hits += res.Stats.CacheHits
-		misses += res.Stats.CacheMisses
 		mrng := rand.New(rand.NewSource(cc.seed + 1))
 		for t := 0; t < cc.ticks; t++ {
 			w.Step(cc.movers, mrng)
@@ -272,8 +268,6 @@ func runCell(cc cellConfig) (sweepCell, error) {
 			if err != nil {
 				return cell, err
 			}
-			hits += res.Stats.CacheHits
-			misses += res.Stats.CacheMisses
 			cell.Steals += res.Stats.Steals
 			if res.Stats.WorkerImbalance > cell.WorkerImbalance {
 				cell.WorkerImbalance = res.Stats.WorkerImbalance
@@ -288,9 +282,6 @@ func runCell(cc cellConfig) (sweepCell, error) {
 	cell.TickP90MS = tick.P90 * 1e3
 	cell.TickP99MS = tick.P99 * 1e3
 	cell.TickP999MS = tick.P999 * 1e3
-	if total := hits + misses; total > 0 {
-		cell.CacheHitRatio = float64(hits) / float64(total)
-	}
 	return cell, nil
 }
 

@@ -18,7 +18,6 @@ type engineOpts struct {
 	degree     float64 // target mean 1-hop degree
 	model      string  // "homogeneous" or "heterogeneous"
 	workers    int     // engine worker count (0 = GOMAXPROCS)
-	cache      bool    // enable the skyline cache
 	steps      int     // mobility steps to run through the incremental path
 	verify     bool    // cross-check against the sequential per-node pipeline
 	contention float64 // zipf hotspot skew (0 = uniform deployment + waypoint)
@@ -62,7 +61,7 @@ func runEngine(o engineOpts) error {
 		fmt.Printf("workload: zipf hotspots (contention %g, %d clusters)\n", o.contention, o.hotspots)
 	}
 
-	eng := mldcs.NewEngine(mldcs.EngineConfig{Workers: o.workers, Cache: o.cache})
+	eng := mldcs.NewEngine(mldcs.EngineConfig{Workers: o.workers})
 	start := time.Now()
 	res, err := eng.Compute(nodes)
 	if err != nil {
@@ -74,15 +73,6 @@ func runEngine(o engineOpts) error {
 		s.Nodes, s.Edges, s.Cells, s.Workers)
 	fmt.Printf("compute: %v (%.0f nodes/sec)\n", elapsed.Round(time.Microsecond),
 		float64(s.Nodes)/elapsed.Seconds())
-	if o.cache {
-		total := s.CacheHits + s.CacheMisses
-		ratio := 0.0
-		if total > 0 {
-			ratio = float64(s.CacheHits) / float64(total)
-		}
-		fmt.Printf("cache: %d hits / %d misses (%.1f%% hit ratio)\n",
-			s.CacheHits, s.CacheMisses, 100*ratio)
-	}
 	if o.verify {
 		if err := verifyEngine(nodes, res); err != nil {
 			return err

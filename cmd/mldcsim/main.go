@@ -60,7 +60,6 @@ func main() {
 		engNodes   = flag.Int("nodes", 10000, "with -engine: target network size")
 		engDegree  = flag.Float64("degree", 10, "with -engine: target mean 1-hop degree")
 		engModel   = flag.String("model", "heterogeneous", "with -engine: radius model (homogeneous|heterogeneous)")
-		engCache   = flag.Bool("cache", true, "with -engine: enable the skyline cache")
 		engSteps   = flag.Int("steps", 0, "with -engine: random-waypoint steps through the incremental path")
 		engVerify  = flag.Bool("verify", false, "with -engine: cross-check output against the sequential per-node pipeline")
 		engCont    = flag.Float64("contention", 0, "with -engine: zipf contention exponent — skew placement and movers into hotspots (0 = uniform)")
@@ -103,7 +102,6 @@ func main() {
 			degree:     *engDegree,
 			model:      *engModel,
 			workers:    *workers,
-			cache:      *engCache,
 			steps:      *engSteps,
 			verify:     *engVerify,
 			contention: *engCont,

@@ -219,7 +219,7 @@ func (c *checker) allocSites(fd *ast.FuncDecl) []allocSite {
 // per-call heap traffic under the repository's reuse conventions:
 //
 //   - a field selector (x.f): the buffer lives in a struct that outlives
-//     the call (a scratch, a kinState, a cache entry), so growth is
+//     the call (a scratch, a kinState), so growth is
 //     amortized across calls, which is exactly what AllocsPerRun's
 //     "zero once warm" contract means;
 //   - a slice parameter of the function under analysis: the caller

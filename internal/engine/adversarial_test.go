@@ -18,7 +18,7 @@ import (
 // link distances within ±Eps/2 of a radius, cocircular neighbor rings
 // at tie angles, neighbor disks tangent to the hub — and feed them
 // through the existing differential matrix (sequential pipeline ×
-// engine worker/cache variants × naive skyline oracle).
+// engine worker variants × naive skyline oracle).
 
 // boundaryNodes places n random nodes and then sets each radius to the
 // exact distance of some other node, perturbed by one of
@@ -95,7 +95,7 @@ func TestEngineAdversarialBoundaryDeployments(t *testing.T) {
 			}
 		}
 		for _, cfg := range engineVariants() {
-			label := fmt.Sprintf("boundary seed=%d workers=%d cache=%v", seed, cfg.Workers, cfg.Cache)
+			label := fmt.Sprintf("boundary seed=%d workers=%d", seed, cfg.Workers)
 			res, err := New(cfg).Compute(nodes)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -120,7 +120,7 @@ func TestEngineAdversarialNearTangentDeployments(t *testing.T) {
 			}
 		}
 		for _, cfg := range engineVariants() {
-			label := fmt.Sprintf("tangent seed=%d workers=%d cache=%v", seed, cfg.Workers, cfg.Cache)
+			label := fmt.Sprintf("tangent seed=%d workers=%d", seed, cfg.Workers)
 			res, err := New(cfg).Compute(nodes)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -223,8 +223,8 @@ func TestBoundaryScenarioGridGraphEngineAgree(t *testing.T) {
 		}
 		for u := range nodes {
 			if !equalSets(res.Neighbors[u], neighbors[u]) {
-				t.Errorf("engine workers=%d cache=%v: node %d neighbors = %v, want %v",
-					cfg.Workers, cfg.Cache, u, res.Neighbors[u], neighbors[u])
+				t.Errorf("engine workers=%d: node %d neighbors = %v, want %v",
+					cfg.Workers, u, res.Neighbors[u], neighbors[u])
 			}
 		}
 	}
@@ -262,7 +262,7 @@ func TestEngineUpdateBoundaryMove(t *testing.T) {
 		cur := append([]network.Node(nil), base...)
 		for _, step := range steps {
 			cur[1].Pos = geom.Pt(step.x, 0)
-			label := fmt.Sprintf("%s workers=%d cache=%v", step.name, cfg.Workers, cfg.Cache)
+			label := fmt.Sprintf("%s workers=%d", step.name, cfg.Workers)
 			got, err := inc.Update(cur)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

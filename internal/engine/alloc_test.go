@@ -16,46 +16,43 @@ import (
 // Steady-state per-node recompute — same geometry, warm worker scratch —
 // must not allocate: the skyline runs in the worker's skyline.Scratch, the
 // canonical ordering uses the in-scratch merge sort, and unchanged outputs
-// are compare-and-kept instead of re-copied. Exercised with the cache off
-// (every node recomputes its skyline) and on (every node replays a cached
-// cover), which together cover both branches of computeNode.
+// are compare-and-kept instead of re-copied. The subtest keeps its
+// cache=false name from when the engine had a skyline cache; every node
+// now recomputes its skyline, which is the path that name always covered.
 func TestComputeNodeSteadyStateAllocs(t *testing.T) {
 	nodes, _, err := benchDeployment(300, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cache := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
-			e := New(Config{Workers: 1, Cache: cache})
-			if _, err := e.Compute(nodes); err != nil {
+	t.Run("cache=false", func(t *testing.T) {
+		e := New(Config{Workers: 1})
+		if _, err := e.Compute(nodes); err != nil {
+			t.Fatal(err)
+		}
+		sc := &scratch{}
+		// Warm-up: grow this scratch's buffers before counting.
+		for u := range nodes {
+			if err := e.computeNode(u, sc); err != nil {
 				t.Fatal(err)
 			}
-			sc := &scratch{}
-			// Warm-up: grow this scratch's buffers (and, with the cache on,
-			// ensure every fingerprint is present) before counting.
+		}
+		var nodeErr error
+		allocs := testing.AllocsPerRun(5, func() {
 			for u := range nodes {
 				if err := e.computeNode(u, sc); err != nil {
-					t.Fatal(err)
+					nodeErr = err
+					return
 				}
-			}
-			var nodeErr error
-			allocs := testing.AllocsPerRun(5, func() {
-				for u := range nodes {
-					if err := e.computeNode(u, sc); err != nil {
-						nodeErr = err
-						return
-					}
-				}
-			})
-			if nodeErr != nil {
-				t.Fatal(nodeErr)
-			}
-			if allocs != 0 {
-				t.Errorf("steady-state recompute of %d nodes allocated %.1f objects/run, want 0",
-					len(nodes), allocs)
 			}
 		})
-	}
+		if nodeErr != nil {
+			t.Fatal(nodeErr)
+		}
+		if allocs != 0 {
+			t.Errorf("steady-state recompute of %d nodes allocated %.1f objects/run, want 0",
+				len(nodes), allocs)
+		}
+	})
 }
 
 // Instrumentation must not buy observability with hot-path garbage: with
@@ -63,10 +60,11 @@ func TestComputeNodeSteadyStateAllocs(t *testing.T) {
 // steady-state per-node recompute still runs at zero allocations. The
 // warm-up deliberately runs past the span sampling budget so the measured
 // iterations exercise the post-budget fast path (sharded counter add +
-// closed-flag load), which is the steady state of any long run. Cache off
-// and on cover both branches of computeNode, and skyline instrumentation
-// is installed too, so the per-node timer (Start/Stop on sharded cells)
-// and arc histogram are part of what is being pinned.
+// closed-flag load), which is the steady state of any long run. Skyline
+// instrumentation is installed too, so the per-node timer (Start/Stop on
+// sharded cells) and arc histogram are part of what is being pinned. The
+// subtest name is kept from the cached engine, as in
+// TestComputeNodeSteadyStateAllocs.
 func TestComputeNodeInstrumentedAllocs(t *testing.T) {
 	nodes, _, err := benchDeployment(300, 7)
 	if err != nil {
@@ -80,43 +78,41 @@ func TestComputeNodeInstrumentedAllocs(t *testing.T) {
 		Instrument(nil, nil)
 		skyline.Instrument(nil)
 	})
-	for _, cache := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
-			e := New(Config{Workers: 1, Cache: cache})
-			if _, err := e.Compute(nodes); err != nil {
-				t.Fatal(err)
-			}
-			sc := &scratch{}
-			// Warm-up: grow the scratch buffers and exhaust the per-node
-			// span budget so Begin is on its no-op fast path.
-			for uint64(engInstr.Load().spanNode.Total()) <= obs.DefaultSpanLimit {
-				for u := range nodes {
-					if err := e.computeNode(u, sc); err != nil {
-						t.Fatal(err)
-					}
+	t.Run("cache=false", func(t *testing.T) {
+		e := New(Config{Workers: 1})
+		if _, err := e.Compute(nodes); err != nil {
+			t.Fatal(err)
+		}
+		sc := &scratch{}
+		// Warm-up: grow the scratch buffers and exhaust the per-node
+		// span budget so Begin is on its no-op fast path.
+		for uint64(engInstr.Load().spanNode.Total()) <= obs.DefaultSpanLimit {
+			for u := range nodes {
+				if err := e.computeNode(u, sc); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if got := engInstr.Load().spanNode.SampledCount(); got < obs.DefaultSpanLimit {
-				t.Fatalf("span budget not exhausted after warm-up: %d sampled", got)
-			}
-			var nodeErr error
-			allocs := testing.AllocsPerRun(5, func() {
-				for u := range nodes {
-					if err := e.computeNode(u, sc); err != nil {
-						nodeErr = err
-						return
-					}
+		}
+		if got := engInstr.Load().spanNode.SampledCount(); got < obs.DefaultSpanLimit {
+			t.Fatalf("span budget not exhausted after warm-up: %d sampled", got)
+		}
+		var nodeErr error
+		allocs := testing.AllocsPerRun(5, func() {
+			for u := range nodes {
+				if err := e.computeNode(u, sc); err != nil {
+					nodeErr = err
+					return
 				}
-			})
-			if nodeErr != nil {
-				t.Fatal(nodeErr)
-			}
-			if allocs != 0 {
-				t.Errorf("instrumented steady-state recompute of %d nodes allocated %.1f objects/run, want 0",
-					len(nodes), allocs)
 			}
 		})
-	}
+		if nodeErr != nil {
+			t.Fatal(nodeErr)
+		}
+		if allocs != 0 {
+			t.Errorf("instrumented steady-state recompute of %d nodes allocated %.1f objects/run, want 0",
+				len(nodes), allocs)
+		}
+	})
 }
 
 // loadEngineFuzzCorpus decodes the curated seed files under
@@ -155,7 +151,7 @@ func loadEngineFuzzCorpus(t *testing.T) map[string][]byte {
 
 // TestEngineDifferentialFuzzSeeds sweeps the curated degenerate topologies
 // (boundary rings, exact-radius links, co-located clusters) through the
-// full workers×cache matrix against the sequential pipeline — the engine
+// full workers matrix against the sequential pipeline — the engine
 // counterpart of the skyline merge-equivalence suite.
 func TestEngineDifferentialFuzzSeeds(t *testing.T) {
 	for name, data := range loadEngineFuzzCorpus(t) {
@@ -166,7 +162,7 @@ func TestEngineDifferentialFuzzSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, cfg, err)
 			}
-			label := fmt.Sprintf("%s workers=%d cache=%v", name, cfg.Workers, cfg.Cache)
+			label := fmt.Sprintf("%s workers=%d", name, cfg.Workers)
 			assertIdentical(t, label, res, fwd, hubIn, g)
 		}
 	}

@@ -68,20 +68,18 @@ func BenchmarkSequential(b *testing.B) {
 
 func BenchmarkEngine(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
-		for _, cache := range []bool{false, true} {
-			b.Run(fmt.Sprintf("n=%d/cache=%v", n, cache), func(b *testing.B) {
-				nodes, _, err := benchDeployment(n, 1)
-				if err != nil {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			nodes, _, err := benchDeployment(n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(Config{}).Compute(nodes); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := New(Config{Cache: cache}).Compute(nodes); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -208,19 +206,16 @@ func BenchmarkApply(b *testing.B) {
 // (in microseconds) observed across the workload's engine passes — the
 // latency side of the story that the wall-time totals cannot show.
 type benchReportEntry struct {
-	Workload      string  `json:"workload"`
-	Nodes         int     `json:"nodes"`
-	Workers       int     `json:"workers"`
-	SequentialMS  float64 `json:"sequential_ms"`
-	EngineMS      float64 `json:"engine_ms"`
-	Speedup       float64 `json:"speedup"`
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
-	NodeP50US     float64 `json:"node_p50_us"`
-	NodeP90US     float64 `json:"node_p90_us"`
-	NodeP99US     float64 `json:"node_p99_us"`
-	NodeP999US    float64 `json:"node_p999_us"`
+	Workload     string  `json:"workload"`
+	Nodes        int     `json:"nodes"`
+	Workers      int     `json:"workers"`
+	SequentialMS float64 `json:"sequential_ms"`
+	EngineMS     float64 `json:"engine_ms"`
+	Speedup      float64 `json:"speedup"`
+	NodeP50US    float64 `json:"node_p50_us"`
+	NodeP90US    float64 `json:"node_p90_us"`
+	NodeP99US    float64 `json:"node_p99_us"`
+	NodeP999US   float64 `json:"node_p999_us"`
 	// Worker-pool load balance of the last engine pass (see Stats).
 	WorkerImbalance float64 `json:"worker_imbalance,omitempty"`
 	Steals          int     `json:"steals,omitempty"`
@@ -228,8 +223,7 @@ type benchReportEntry struct {
 
 // TestEngineBenchReport writes the machine-readable engine benchmark used
 // by `make bench`: engine-vs-sequential wall times on a uniform random
-// deployment plus a structured (zero-jitter grid) workload where the cache
-// engages. Skipped unless ENGINE_BENCH_OUT names the output file; the
+// deployment plus a structured (zero-jitter grid) workload. Skipped unless ENGINE_BENCH_OUT names the output file; the
 // network size defaults to 100000 and can be overridden with
 // ENGINE_BENCH_N, the worker count defaults to GOMAXPROCS and can be
 // overridden with ENGINE_BENCH_WORKERS. The ≥3× speedup acceptance
@@ -280,7 +274,7 @@ func TestEngineBenchReport(t *testing.T) {
 	report.Workloads = append(report.Workloads, benchWorkload(t, "uniform-random", nodes, workers))
 
 	// Structured workload: zero-jitter grid at the same scale, where
-	// bit-identical neighborhoods make the cache hit nearly always.
+	// neighborhoods repeat bit for bit and exact disk ties are common.
 	gcfg := deploy.PaperConfig(deploy.Homogeneous, 10)
 	gcfg.Side = math.Sqrt(float64(n) * math.Pi * gcfg.ExpectedMinRadiusSq() / 10)
 	gcfg.SourceAtCenter = false
@@ -353,7 +347,7 @@ func benchWorkload(t *testing.T, name string, nodes []network.Node, workers int)
 
 		skyline.Instrument(reg)
 		start = time.Now()
-		r, err := New(Config{Workers: workers, Cache: true}).Compute(nodes)
+		r, err := New(Config{Workers: workers}).Compute(nodes)
 		elapsed := time.Since(start)
 		skyline.Instrument(nil)
 		if err != nil {
@@ -372,8 +366,6 @@ func benchWorkload(t *testing.T, name string, nodes []network.Node, workers int)
 		Workers:      res.Stats.Workers,
 		SequentialMS: seqMS,
 		EngineMS:     engMS,
-		CacheHits:    res.Stats.CacheHits,
-		CacheMisses:  res.Stats.CacheMisses,
 		NodeP50US:    nodeLat.P50 * 1e6,
 		NodeP90US:    nodeLat.P90 * 1e6,
 		NodeP99US:    nodeLat.P99 * 1e6,
@@ -384,9 +376,6 @@ func benchWorkload(t *testing.T, name string, nodes []network.Node, workers int)
 	}
 	if engMS > 0 {
 		e.Speedup = seqMS / engMS
-	}
-	if total := e.CacheHits + e.CacheMisses; total > 0 {
-		e.CacheHitRatio = float64(e.CacheHits) / float64(total)
 	}
 	return e
 }
@@ -519,7 +508,7 @@ func benchScaling(t *testing.T, nodes []network.Node, n int) []benchScalingEntry
 		var res *Result
 		for pass := 0; pass < benchPasses; pass++ {
 			start := time.Now()
-			r, err := New(Config{Workers: w, Cache: true}).Compute(nodes)
+			r, err := New(Config{Workers: w}).Compute(nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -562,7 +551,7 @@ func benchZipfUpdate(t *testing.T, e *benchScalingEntry, n, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Config{Workers: workers, Cache: true})
+	eng := New(Config{Workers: workers})
 	res, err := eng.Compute(w.Nodes())
 	if err != nil {
 		t.Fatal(err)

@@ -3,18 +3,18 @@
 // (Theorem 3: the MLDCS is the skyline set, O(n log n) per node); this
 // package is the whole-network counterpart that a production deployment
 // needs: neighbor discovery through a shared spatial grid, a worker pool
-// sharded over grid cells with per-worker scratch buffers, a skyline cache
-// keyed by a canonical neighborhood fingerprint so bit-identical local
-// sets are solved once, and an incremental path (Apply) that only redoes
-// the neighborhoods a batch of moves, joins and leaves actually dirtied.
+// sharded over grid cells with per-worker scratch buffers, and an
+// incremental path (Apply) that only redoes the neighborhoods a batch of
+// moves, joins and leaves actually dirtied, patching most of them by
+// kinetic repair (kinetic.go) instead of re-solving them.
 // Every pass publishes an immutable copy-on-write View (view.go) whose cost
 // is proportional to the nodes the pass touched, not to the network.
 //
 // The engine is observationally equivalent to the sequential per-node
 // loop (network.Build + Graph.LocalSet + mldcs.Solve for every node): the
 // differential test harness in this package asserts element-identical
-// forwarding sets across worker counts and cache settings, against both
-// the per-node solver and the naive skyline oracle.
+// forwarding sets across worker counts, against both the per-node solver
+// and the naive skyline oracle.
 package engine
 
 import (
@@ -37,22 +37,16 @@ type Config struct {
 	// Workers is the number of concurrent shard workers; ≤ 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// Cache enables the skyline cache: local sets with bit-identical
-	// canonical fingerprints (see cache.go) are solved once and replayed.
-	// Structured deployments (grids, co-located clusters, replayed traces)
-	// hit constantly; uniform random deployments almost never do, and pay
-	// only the fingerprint cost.
-	Cache bool
-	// CellSize overrides the spatial grid's cell size; ≤ 0 selects the
-	// maximum transmission radius, which bounds every neighbor query to a
-	// 3×3 cell window.
-	CellSize float64
 	// DisableRepair turns off the kinetic repair fast path: every dirty
 	// node in Update recomputes its skyline from scratch, as the engine
 	// did before repair existed. For benchmarking (the BENCH_engine.json
 	// update section measures repair against exactly this baseline) and
 	// for bisecting a suspected repair bug in production.
 	DisableRepair bool
+
+	// Deprecated: the engine has no skyline cache any more; Cache is
+	// ignored. It remains only so existing callers still compile.
+	Cache bool
 }
 
 // Delta is one entry of an Apply call: slot Slot's state after the pass.
@@ -75,9 +69,6 @@ type Stats struct {
 	Edges   int // directed neighbor entries (sum of out-degrees)
 	Cells   int // occupied grid cells (the shard count)
 	Workers int // workers actually used
-	// Cache accounting for this pass (zero when the cache is disabled).
-	CacheHits   int64
-	CacheMisses int64
 	// Incremental accounting: slots whose state changed (moves, joins,
 	// leaves, key changes), and neighborhoods recomputed (present changed
 	// nodes plus their old and new neighbors). A full Compute reports
@@ -114,6 +105,12 @@ type Stats struct {
 	WorkerMeanNodes float64
 	WorkerImbalance float64
 	Steals          int
+
+	// Deprecated: the engine has no skyline cache any more; CacheHits
+	// always reads zero. It remains only so existing readers still compile.
+	CacheHits int64
+	// Deprecated: always zero, as CacheHits.
+	CacheMisses int64
 }
 
 // Result is a flat rendering of a View (View.Result): fresh top-level
@@ -153,7 +150,6 @@ type Engine struct {
 	// View published from it.
 	out   pageStore
 	view  *View
-	cache *skyCache
 	stats Stats
 	// live counts the present slots.
 	live int
@@ -209,9 +205,8 @@ type Engine struct {
 // disks. The ID order starts canonical (the compute's tuple order) and is
 // scrambled by swap-compaction as neighbors depart; only the parallel
 // correspondence matters. valid is false whenever the cached pair cannot
-// be trusted: before the first compute, after a cache-hit replay or a
-// degeneracy fallback (neither computes a skyline), or mid-abandoned
-// repair.
+// be trusted: before the first compute, after a degeneracy fallback
+// (which keeps no skyline), or mid-abandoned repair.
 type kinState struct {
 	valid bool
 	ids   []int
@@ -227,15 +222,9 @@ var checkInvariants = func(sl skyline.Skyline, n int) error {
 	return sl.CheckInvariants(n)
 }
 
-// New returns an engine with the given configuration. The cache, when
-// enabled, persists across Compute and Update calls, so recomputing a
-// relabeled copy of a network hits it wholesale.
+// New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, view: &View{}}
-	if cfg.Cache {
-		e.cache = newSkyCache()
-	}
-	return e
+	return &Engine{cfg: cfg, view: &View{}}
 }
 
 // Compute runs the full whole-network pass: index the nodes in a spatial
@@ -298,11 +287,7 @@ func (e *Engine) bulk() (*View, error) {
 	if e.live == 0 {
 		return e.publish(), nil
 	}
-	cell := e.cfg.CellSize
-	if cell <= 0 {
-		cell = maxR
-	}
-	e.grid = spatial.NewGrid(nil, cell)
+	e.grid = spatial.NewGrid(nil, maxR)
 	for u := 0; u < n; u++ {
 		if e.out.present(u) {
 			e.grid.Insert(u, e.out.node(u).Pos)
@@ -311,7 +296,6 @@ func (e *Engine) bulk() (*View, error) {
 	cells := e.grid.Cells()
 	e.stats.Cells = len(cells)
 
-	hits0, misses0 := e.cache.counts()
 	var passSpan obs.Span
 	var spanCell *obs.SpanKind
 	if m != nil {
@@ -342,16 +326,13 @@ func (e *Engine) bulk() (*View, error) {
 	e.stats.recordLoads(e.lastLoads)
 	e.stats.Dirty = e.live
 	e.stats.Fallbacks = int(e.fallbacks.Load())
-	hits1, misses1 := e.cache.counts()
-	e.stats.CacheHits = hits1 - hits0
-	e.stats.CacheMisses = misses1 - misses0
 	for u := 0; u < n; u++ {
 		e.stats.Edges += len(e.out.nbrs(u))
 	}
 
 	v := e.publish()
 	if m != nil {
-		m.recordCompute(e.stats, time.Since(start), e.cache)
+		m.recordCompute(e.stats, time.Since(start))
 	}
 	if passSpan.Sampled() {
 		passSpan.End(map[string]any{
@@ -378,36 +359,20 @@ func (e *Engine) View() *View { return e.view }
 // Result returns the flat rendering of the last published View.
 func (e *Engine) Result() *Result { return e.view.Result() }
 
-// CacheLen returns the number of distinct neighborhood fingerprints
-// currently cached (0 when the cache is disabled).
-func (e *Engine) CacheLen() int { return e.cache.len() }
-
 // scratch holds one worker's reusable buffers, including the skyline
 // package's working memory. All slices are grown once and then recycled,
 // and per-node outputs are compare-and-kept against the previous pass, so
 // a steady-state recompute (same geometry, warm buffers) performs zero
 // heap allocations per node — the allocation regression tests pin this.
 type scratch struct {
-	ids        []int           // gathered neighbor IDs
-	tuples     []nbTuple       // canonical neighbor ordering
-	tupleTmp   []nbTuple       // merge buffer for sortTuples
-	disks      []geom.Disk     // hub-frame disk set handed to the skyline
-	key        []byte          // fingerprint bytes
-	sky        skyline.Scratch // skyline working memory (ComputeInto)
-	sl         skyline.Skyline // reusable skyline output
-	cover      []int           // reusable skyline set
-	canon      []int32         // reusable canonical cover positions
-	canonArena []int32         // chunked backing store for cache-entry canons
-	fwdBuf     []int           // reusable mapped forwarding IDs
-	hits       int64           // cache counters, flushed once per worker
-	misses     int64
-	bypass     bool // adaptive cache bypass tripped this pass
-	// l1 is this worker's private front over the shared striped cache:
-	// lock-free replay of fingerprints this worker has already resolved,
-	// bounded by l1MaxEntries (see cache.go). Persisting with the scratch
-	// across passes keeps structured steady-state workloads entirely off
-	// the shared shards.
-	l1 map[string]cacheEntry
+	ids      []int           // gathered neighbor IDs
+	tuples   []nbTuple       // canonical neighbor ordering
+	tupleTmp []nbTuple       // merge buffer for sortTuples
+	disks    []geom.Disk     // hub-frame disk set handed to the skyline
+	sky      skyline.Scratch // skyline working memory (ComputeInto)
+	sl       skyline.Skyline // reusable skyline output
+	cover    []int           // reusable skyline set
+	fwdBuf   []int           // reusable mapped forwarding IDs
 	// load books this worker's share of the current pass (pool.go).
 	load workerLoad
 	// Kinetic repair buffers (see kinetic.go): neighborhood diff lists,
@@ -421,25 +386,9 @@ type scratch struct {
 	ksl     skyline.Skyline
 }
 
-// ownCanon returns a copy of sc.canon that outlives the scratch, carved
-// from a chunked arena so a cache-cold pass performs a handful of block
-// allocations instead of one small allocation per miss.
-//
-//mldcs:hotpath
-func (sc *scratch) ownCanon() []int32 {
-	n := len(sc.canon)
-	if cap(sc.canonArena)-len(sc.canonArena) < n {
-		//mldcslint:allow hotpathalloc arena block growth, one allocation amortized over thousands of entries
-		sc.canonArena = make([]int32, 0, max(4096, n))
-	}
-	start := len(sc.canonArena)
-	sc.canonArena = append(sc.canonArena, sc.canon...)
-	return sc.canonArena[start : start+n : start+n]
-}
-
 // nbTuple is one neighbor disk in the hub-at-origin frame, carrying the
-// raw float bits used for canonical ordering and fingerprinting, and the
-// neighbor's key, which orders exact duplicates.
+// raw float bits used for canonical ordering and the neighbor's key, which
+// orders exact duplicates.
 type nbTuple struct {
 	xb, yb, rb uint64
 	key        int64
@@ -450,8 +399,7 @@ type nbTuple struct {
 // computeNode recomputes node u's neighborhood and forwarding set. It
 // mirrors network.Build's bidirectional link predicate exactly (same grid
 // query, same tolerance), so Neighbors matches Graph.Neighbors bit for
-// bit; the local set is then canonicalized and solved (or replayed from
-// the cache).
+// bit; the local set is then canonicalized and solved.
 //
 //mldcs:hotpath
 func (e *Engine) computeNode(u int, sc *scratch) error {
@@ -479,12 +427,12 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 	// Canonical ordering: neighbors in the hub frame sorted by their raw
 	// coordinate bits. The order is independent of slots and of the node's
 	// absolute position, so two nodes anywhere in the network with
-	// bit-identical relative neighborhoods produce the same disk sequence —
-	// and hence the same skyline computation and the same fingerprint.
-	// Exact duplicate disks are ordered by key, so the skyline's canonical
-	// tie-break (larger radius, then lower index) picks the lowest-key
-	// duplicate: the one the per-node solver picks over nodes numbered in
-	// key order, whatever slots they occupy.
+	// bit-identical relative neighborhoods produce the same disk sequence,
+	// and hence the same skyline computation. Exact duplicate disks are
+	// ordered by key, so the skyline's canonical tie-break (larger radius,
+	// then lower index) picks the lowest-key duplicate: the one the
+	// per-node solver picks over nodes numbered in key order, whatever
+	// slots they occupy.
 	sc.tuples = sc.tuples[:0]
 	for _, v := range sc.ids {
 		d := e.out.node(v).Disk().Translate(hub.Pos)
@@ -498,43 +446,6 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 		})
 	}
 	sortTuples(sc)
-
-	var shard *cacheShard
-	if e.cache != nil && !sc.bypass {
-		sc.key = appendFingerprint(sc.key[:0], hub.Radius, sc.tuples)
-		// L1 front first: a fingerprint this worker has already resolved
-		// replays without touching the shared shards (no hash, no lock).
-		ent, ok := sc.l1[string(sc.key)]
-		if !ok {
-			shard = e.cache.shard(sc.key)
-			if ent, ok = shard.get(sc.key); ok {
-				// Promote the shared hit into the private front so this
-				// worker's next encounter is lock-free.
-				//mldcslint:allow hotpathalloc L1 promotion inserts at most l1MaxEntries distinct keys per worker over the engine's lifetime; steady state only reads
-				sc.l1Put(sc.key, ent)
-			}
-		}
-		if ok {
-			sc.hits++
-			// A replayed entry carries no skyline, so the kinetic state
-			// cannot be refreshed; repair for this node resumes after its
-			// next full compute.
-			e.kin[u].valid = false
-			sc.fwdBuf = appendMappedCover(sc.fwdBuf[:0], ent.canon, sc.tuples)
-			sc.fwdBuf = mutateForwarding(sc.fwdBuf, u)
-			pg.fwd[slot] = keepInts(pg.fwd[slot], sc.fwdBuf)
-			pg.hubIn[slot] = ent.hubIn
-			if nodeSpan.Sampled() {
-				//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
-				nodeSpan.End(map[string]any{"node": u, "neighbors": len(sc.ids), "cached": true})
-			}
-			return nil
-		}
-		sc.misses++
-		if sc.hits+sc.misses >= cacheBypassWindow && sc.hits*cacheBypassRatio < sc.misses {
-			sc.bypass = true
-		}
-	}
 
 	sc.disks = sc.disks[:0]
 	sc.disks = append(sc.disks, geom.Disk{R: hub.Radius})
@@ -569,31 +480,22 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 		st.sl = append(st.sl[:0], sc.sl...)
 		st.valid = true
 	}
+	// The cover's disk indices map to node IDs through the tuples (index 0
+	// is the hub), as updateNode maps them through the kinetic state's ids.
 	sc.cover = sc.sl.AppendSet(sc.cover)
 	hubIn := false
-	sc.canon = sc.canon[:0]
+	sc.fwdBuf = sc.fwdBuf[:0]
 	for _, i := range sc.cover {
 		if i == 0 {
 			hubIn = true
 			continue
 		}
-		sc.canon = append(sc.canon, int32(i-1))
+		sc.fwdBuf = append(sc.fwdBuf, sc.tuples[i-1].id)
 	}
-	sc.fwdBuf = appendMappedCover(sc.fwdBuf[:0], sc.canon, sc.tuples)
+	sort.Ints(sc.fwdBuf)
 	sc.fwdBuf = mutateForwarding(sc.fwdBuf, u)
 	pg.fwd[slot] = keepInts(pg.fwd[slot], sc.fwdBuf)
 	pg.hubIn[slot] = hubIn
-	if shard != nil {
-		// The entry outlives the scratch buffers, so it owns its canon copy
-		// (arena-backed); put itself copies the key. Misses are the only
-		// allocating branch of the per-node loop, and a steady-state pass
-		// has none. The fresh entry also seeds this worker's L1 front so a
-		// re-encounter replays without the shared shard.
-		ent := cacheEntry{hubIn: hubIn, canon: sc.ownCanon()}
-		shard.put(sc.key, ent)
-		//mldcslint:allow hotpathalloc miss path only — bounded by l1MaxEntries distinct fingerprints per worker; steady-state passes never miss
-		sc.l1Put(sc.key, ent)
-	}
 	if nodeSpan.Sampled() {
 		//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
 		nodeSpan.End(map[string]any{"node": u, "neighbors": len(sc.ids), "cover": len(sc.fwdBuf)})
@@ -696,8 +598,6 @@ func tupleLess(a, b *nbTuple) bool {
 // — every neighbor relays and the hub's own disk stays in the cover —
 // which is a correct (if non-minimal) cover of any local disk set. The
 // event is counted in Stats.Fallbacks and logged through internal/obs.
-// The result is deliberately not cached: a fingerprint-colliding healthy
-// neighborhood must not replay a degenerate answer.
 func (e *Engine) fallbackNode(u int, cause error) {
 	e.kin[u].valid = false
 	pg, slot := e.out.at(u)
@@ -707,18 +607,6 @@ func (e *Engine) fallbackNode(u int, cause error) {
 	if m := engInstr.Load(); m != nil {
 		m.recordFallback(u, len(pg.nbrs[slot]), cause)
 	}
-}
-
-// appendMappedCover translates canonical cover positions back to sorted
-// node IDs, appending to dst (scratch-buffer friendly: pass dst[:0]).
-//
-//mldcs:hotpath
-func appendMappedCover(dst []int, canon []int32, tuples []nbTuple) []int {
-	for _, p := range canon {
-		dst = append(dst, tuples[p].id)
-	}
-	sort.Ints(dst)
-	return dst
 }
 
 // runErr collects the first error raised inside the worker pool.

@@ -13,7 +13,7 @@ import (
 )
 
 func TestEngineEmptyNetwork(t *testing.T) {
-	res, err := New(Config{Cache: true}).Compute(nil)
+	res, err := New(Config{}).Compute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,31 +30,16 @@ func TestEngineSingleAndIsolatedNodes(t *testing.T) {
 		{ID: 1, Pos: geom.Pt(10, 0), Radius: 1},
 		{ID: 2, Pos: geom.Pt(0, 10), Radius: 1},
 	}
-	for _, cache := range []bool{false, true} {
-		cfg := Config{Cache: cache}
-		if cache {
-			// One worker: two workers can both miss the same fingerprint
-			// before either inserts it, which the exact count below forbids.
-			cfg.Workers = 1
+	res, err := New(Config{}).Compute(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range nodes {
+		if len(res.Forwarding[u]) != 0 || len(res.Neighbors[u]) != 0 {
+			t.Fatalf("isolated node %d: fwd=%v nbrs=%v", u, res.Forwarding[u], res.Neighbors[u])
 		}
-		res, err := New(cfg).Compute(nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := range nodes {
-			if len(res.Forwarding[u]) != 0 || len(res.Neighbors[u]) != 0 {
-				t.Fatalf("isolated node %d: fwd=%v nbrs=%v", u, res.Forwarding[u], res.Neighbors[u])
-			}
-			if !res.HubInCover[u] {
-				t.Fatalf("isolated node %d must cover itself", u)
-			}
-		}
-		if cache {
-			// Identical singleton neighborhoods: first is a miss, rest hit.
-			if res.Stats.CacheHits != 2 || res.Stats.CacheMisses != 1 {
-				t.Fatalf("cache stats = %d hits / %d misses, want 2/1",
-					res.Stats.CacheHits, res.Stats.CacheMisses)
-			}
+		if !res.HubInCover[u] {
+			t.Fatalf("isolated node %d must cover itself", u)
 		}
 	}
 }
@@ -75,17 +60,17 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEngineCacheRelabelInvariance: the fingerprint orders neighbors by
+// TestEngineRelabelInvariance: the canonical neighbor order sorts by
 // coordinate bits, not by ID, so recomputing a relabeled copy of the same
-// network through a persistent engine hits the cache for every node and
-// yields the permuted forwarding sets.
-func TestEngineCacheRelabelInvariance(t *testing.T) {
+// network through a persistent engine yields exactly the permuted
+// forwarding sets and hub flags.
+func TestEngineRelabelInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	nodes, err := deploy.Generate(deploy.PaperConfig(deploy.Heterogeneous, 8), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Cache: true})
+	e := New(Config{})
 	first, err := e.Compute(nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +89,6 @@ func TestEngineCacheRelabelInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Stats.CacheMisses != 0 || second.Stats.CacheHits != int64(len(nodes)) {
-		t.Fatalf("relabeled recompute: %d hits / %d misses, want %d/0",
-			second.Stats.CacheHits, second.Stats.CacheMisses, len(nodes))
-	}
 	for newID, oldID := range perm {
 		want := make([]int, len(first.Forwarding[oldID]))
 		for i, v := range first.Forwarding[oldID] {
@@ -122,9 +103,34 @@ func TestEngineCacheRelabelInvariance(t *testing.T) {
 			t.Fatalf("node %d (was %d): hubInCover changed under relabeling", newID, oldID)
 		}
 	}
-	if e.CacheLen() == 0 {
-		t.Fatal("cache is empty after two passes")
+}
+
+// TestDeprecatedCacheFieldsInert pins the skyline cache's leftover API:
+// Config.Cache is ignored and Stats.CacheHits/CacheMisses always read
+// zero, even on a zero-jitter grid, where nearly every neighborhood is
+// bit-identical to another and a cache would hit on almost every node.
+// Delete it together with the three deprecated fields.
+func TestDeprecatedCacheFieldsInert(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cfg := deploy.PaperConfig(deploy.Homogeneous, 12)
+	cfg.SourceAtCenter = false
+	nodes, err := deploy.GeneratePerturbedGrid(cfg, 0, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := New(Config{Workers: 1, Cache: true}).Compute(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.CacheHits != 0 || got.Stats.CacheMisses != 0 {
+		t.Fatalf("Cache: true reported %d hits / %d misses, want 0/0",
+			got.Stats.CacheHits, got.Stats.CacheMisses)
+	}
+	want, err := New(Config{Workers: 1}).Compute(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "Cache: true", got, want)
 }
 
 // TestEngineSnapshotIsolation: a snapshot taken before an Update must not
@@ -135,7 +141,7 @@ func TestEngineSnapshotIsolation(t *testing.T) {
 		{ID: 1, Pos: geom.Pt(1, 0), Radius: 2},
 		{ID: 2, Pos: geom.Pt(0, 1), Radius: 2},
 	}
-	e := New(Config{Cache: true})
+	e := New(Config{})
 	before, err := e.Compute(nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +164,8 @@ func TestEngineSnapshotIsolation(t *testing.T) {
 }
 
 // TestEngineInstrumentation checks the obs wiring end to end: Compute and
-// Update book their passes, throughput gauges and cache metrics land in the
-// registry, and uninstalling the registry stops collection.
+// Update book their passes, throughput gauges land in the registry, and
+// uninstalling the registry stops collection.
 func TestEngineInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	Instrument(reg, nil)
@@ -170,7 +176,7 @@ func TestEngineInstrumentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Cache: true})
+	e := New(Config{})
 	if _, err := e.Compute(nodes); err != nil {
 		t.Fatal(err)
 	}

@@ -110,32 +110,6 @@ func TestFallbackOnInvariantViolation(t *testing.T) {
 	}
 }
 
-// TestFallbackNotCached: a degenerate answer must never enter the skyline
-// cache, or a later bit-identical healthy neighborhood would replay it.
-// All four clique nodes have bit-identical canonical neighborhoods, so a
-// cached fallback would surface as cache hits; none may occur.
-func TestFallbackNotCached(t *testing.T) {
-	injectInvariantFailure(t, 2)
-	e := New(Config{Workers: 1, Cache: true})
-	res, err := e.Compute([]network.Node{
-		{ID: 0, Pos: geom.Pt(0, 0), Radius: 2},
-		{ID: 1, Pos: geom.Pt(1, 0), Radius: 2},
-		{ID: 2, Pos: geom.Pt(2, 0), Radius: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Fallbacks == 0 {
-		t.Fatal("expected fallbacks, got none")
-	}
-	if e.CacheLen() != 0 {
-		t.Fatalf("cache holds %d entries after fallback-only pass, want 0", e.CacheLen())
-	}
-	if res.Stats.CacheHits != 0 {
-		t.Fatalf("cache hits = %d on fallback results, want 0", res.Stats.CacheHits)
-	}
-}
-
 // TestFallbackCountedPerPass: Update must report its own pass's fallback
 // count, not an accumulated total, and recovery (the check passing again)
 // must clear the counter and restore minimal covers.

@@ -13,8 +13,8 @@ import (
 // nodesFromBytes deterministically decodes a byte string into a valid node
 // set: each 6-byte chunk becomes one node on an 8×8 region with radius in
 // [1, 2]. Repeated chunks produce exactly co-located nodes, so the fuzzer
-// reaches the cache's duplicate-fingerprint paths and the skyline's
-// degenerate tie-breaks.
+// reaches the canonical duplicate ordering and the skyline's degenerate
+// tie-breaks.
 func nodesFromBytes(data []byte) []network.Node {
 	var nodes []network.Node
 	for len(data) >= 6 && len(nodes) < 48 {
@@ -36,10 +36,10 @@ func nodesFromBytes(data []byte) []network.Node {
 }
 
 // FuzzEngineVsSequential feeds arbitrary node sets to the engine across
-// worker counts and cache settings and cross-checks every output against
-// the sequential per-node pipeline (network.Build + Graph.LocalSet +
-// mldcs.Solve). Any divergence — neighborhoods, forwarding sets, or hub
-// flags — is a bug in the sharding, the canonicalization, or the cache.
+// worker counts and cross-checks every output against the sequential
+// per-node pipeline (network.Build + Graph.LocalSet + mldcs.Solve). Any
+// divergence — neighborhoods, forwarding sets, or hub flags — is a bug in
+// the sharding or the canonicalization.
 func FuzzEngineVsSequential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6})
@@ -48,7 +48,8 @@ func FuzzEngineVsSequential(f *testing.F) {
 		seed[i] = byte(i * 53)
 	}
 	f.Add(seed)
-	// Two co-located triples: identical neighborhoods exercise cache hits.
+	// Two co-located triples: identical neighborhoods and exact duplicate
+	// disks.
 	cluster := append(
 		bytes.Repeat([]byte{0, 32, 0, 32, 0, 128}, 3),
 		bytes.Repeat([]byte{0, 192, 0, 192, 0, 128}, 3)...)
@@ -76,24 +77,22 @@ func FuzzEngineVsSequential(f *testing.F) {
 			hubIn[u] = r.ContainsHub()
 		}
 		for _, workers := range []int{1, 3} {
-			for _, cache := range []bool{false, true} {
-				res, err := New(Config{Workers: workers, Cache: cache}).Compute(nodes)
-				if err != nil {
-					t.Fatalf("workers=%d cache=%v: %v", workers, cache, err)
+			res, err := New(Config{Workers: workers}).Compute(nodes)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			for u := range nodes {
+				if !equalSets(res.Neighbors[u], g.Neighbors(u)) {
+					t.Fatalf("workers=%d: node %d neighbors = %v, want %v",
+						workers, u, res.Neighbors[u], g.Neighbors(u))
 				}
-				for u := range nodes {
-					if !equalSets(res.Neighbors[u], g.Neighbors(u)) {
-						t.Fatalf("workers=%d cache=%v: node %d neighbors = %v, want %v",
-							workers, cache, u, res.Neighbors[u], g.Neighbors(u))
-					}
-					if !equalSets(res.Forwarding[u], fwd[u]) {
-						t.Fatalf("workers=%d cache=%v: node %d forwarding = %v, want %v",
-							workers, cache, u, res.Forwarding[u], fwd[u])
-					}
-					if res.HubInCover[u] != hubIn[u] {
-						t.Fatalf("workers=%d cache=%v: node %d hubInCover = %v, want %v",
-							workers, cache, u, res.HubInCover[u], hubIn[u])
-					}
+				if !equalSets(res.Forwarding[u], fwd[u]) {
+					t.Fatalf("workers=%d: node %d forwarding = %v, want %v",
+						workers, u, res.Forwarding[u], fwd[u])
+				}
+				if res.HubInCover[u] != hubIn[u] {
+					t.Fatalf("workers=%d: node %d hubInCover = %v, want %v",
+						workers, u, res.HubInCover[u], hubIn[u])
 				}
 			}
 		}

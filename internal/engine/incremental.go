@@ -210,7 +210,6 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 	for _, u := range list {
 		edges -= len(e.out.nbrs(u))
 	}
-	hits0, misses0 := e.cache.counts()
 	e.fallbacks.Store(0)
 	e.repaired.Store(0)
 	e.recomputed.Store(0)
@@ -233,18 +232,15 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 	if passErr != nil {
 		return nil, passErr
 	}
-	hits1, misses1 := e.cache.counts()
 
 	e.stats = Stats{
-		Nodes:       e.live,
-		Edges:       edges,
-		Cells:       e.grid.NumCells(),
-		Workers:     workers,
-		CacheHits:   hits1 - hits0,
-		CacheMisses: misses1 - misses0,
-		Moved:       len(ids),
-		Dirty:       len(list),
-		Fallbacks:   int(e.fallbacks.Load()),
+		Nodes:     e.live,
+		Edges:     edges,
+		Cells:     e.grid.NumCells(),
+		Workers:   workers,
+		Moved:     len(ids),
+		Dirty:     len(list),
+		Fallbacks: int(e.fallbacks.Load()),
 
 		Repaired:        int(e.repaired.Load()),
 		Recomputed:      int(e.recomputed.Load()),
@@ -253,7 +249,7 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 	e.stats.recordLoads(e.lastLoads)
 	v := e.publish()
 	if m != nil {
-		m.recordUpdate(e.stats, time.Since(start), e.cache)
+		m.recordUpdate(e.stats, time.Since(start))
 	}
 	if tickSpan.Sampled() {
 		tickSpan.End(map[string]any{

@@ -15,10 +15,7 @@ import (
 // exactly the state a from-scratch Compute would — forwarding sets, hub
 // flags, and neighborhoods — while only recomputing the dirtied subset.
 func TestEngineIncrementalMatchesFresh(t *testing.T) {
-	for _, ecfg := range []Config{
-		{Workers: 1, Cache: false},
-		{Workers: 4, Cache: true},
-	} {
+	for _, ecfg := range []Config{{Workers: 1}, {Workers: 4}} {
 		rng := rand.New(rand.NewSource(11))
 		cfg := deploy.PaperConfig(deploy.Heterogeneous, 8)
 		nodes, err := deploy.Generate(cfg, rng)
@@ -43,11 +40,11 @@ func TestEngineIncrementalMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			want, err := New(Config{Workers: ecfg.Workers, Cache: ecfg.Cache}).Compute(cur)
+			want, err := New(ecfg).Compute(cur)
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			label := fmt.Sprintf("step %d workers=%d cache=%v", step, ecfg.Workers, ecfg.Cache)
+			label := fmt.Sprintf("step %d workers=%d", step, ecfg.Workers)
 			for u := range cur {
 				if !equalSets(got.Neighbors[u], want.Neighbors[u]) {
 					t.Fatalf("%s: node %d neighbors = %v, want %v", label, u, got.Neighbors[u], want.Neighbors[u])
@@ -77,7 +74,7 @@ func TestEngineIncrementalNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Cache: true})
+	e := New(Config{})
 	before, err := e.Compute(nodes)
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,6 @@ const (
 	MetricCellsTotal     = "engine_cells_total"
 	MetricNodesPerSec    = "engine_nodes_per_second"
 	MetricCellsPerSec    = "engine_cells_per_second"
-	MetricCacheHits      = "engine_cache_hits_total"
-	MetricCacheMisses    = "engine_cache_misses_total"
-	MetricCacheHitRatio  = "engine_cache_hit_ratio"
-	MetricCacheEntries   = "engine_cache_entries"
 	MetricWorkers        = "engine_workers"
 	// Per-pass load balance of the worker pool: the imbalance gauge is
 	// max/mean nodes processed per worker (1.0 = perfectly balanced), and
@@ -65,10 +61,6 @@ type engMetrics struct {
 	cells          *obs.Counter
 	nodesPerSec    *obs.Gauge
 	cellsPerSec    *obs.Gauge
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheHitRatio  *obs.Gauge
-	cacheEntries   *obs.Gauge
 	workers        *obs.Gauge
 	// Worker-pool load balance: imbalance is the last pass's max/mean
 	// nodes per worker; steals accumulates work-stealing chunk claims.
@@ -120,10 +112,6 @@ func Instrument(r *obs.Registry, sink *obs.EventSink) {
 		cells:           r.Counter(MetricCellsTotal),
 		nodesPerSec:     r.Gauge(MetricNodesPerSec),
 		cellsPerSec:     r.Gauge(MetricCellsPerSec),
-		cacheHits:       r.Counter(MetricCacheHits),
-		cacheMisses:     r.Counter(MetricCacheMisses),
-		cacheHitRatio:   r.Gauge(MetricCacheHitRatio),
-		cacheEntries:    r.Gauge(MetricCacheEntries),
 		workers:         r.Gauge(MetricWorkers),
 		workerImbalance: r.Gauge(MetricWorkerImbalance),
 		steals:          r.Counter(MetricStealTotal),
@@ -154,7 +142,7 @@ func (m *engMetrics) recordFallback(node, neighbors int, cause error) {
 }
 
 // recordCompute books one finished whole-network pass.
-func (m *engMetrics) recordCompute(s Stats, elapsed time.Duration, cache *skyCache) {
+func (m *engMetrics) recordCompute(s Stats, elapsed time.Duration) {
 	m.computes.Inc()
 	m.computeSeconds.Observe(elapsed)
 	m.nodes.Add(int64(s.Nodes))
@@ -165,11 +153,10 @@ func (m *engMetrics) recordCompute(s Stats, elapsed time.Duration, cache *skyCac
 	}
 	m.workers.Set(float64(s.Workers))
 	m.recordBalance(s)
-	m.recordCache(s, cache)
 }
 
 // recordUpdate books one incremental pass.
-func (m *engMetrics) recordUpdate(s Stats, elapsed time.Duration, cache *skyCache) {
+func (m *engMetrics) recordUpdate(s Stats, elapsed time.Duration) {
 	m.updates.Inc()
 	m.updateSeconds.Observe(elapsed)
 	m.dirtyNodes.Observe(float64(s.Dirty))
@@ -180,7 +167,6 @@ func (m *engMetrics) recordUpdate(s Stats, elapsed time.Duration, cache *skyCach
 	m.recomputes.Add(int64(s.Recomputed))
 	m.repairFallbacks.Add(int64(s.RepairFallbacks))
 	m.recordBalance(s)
-	m.recordCache(s, cache)
 }
 
 // recordBalance books the pass's worker load-balance summary. The gauge
@@ -193,13 +179,4 @@ func (m *engMetrics) recordBalance(s Stats) {
 	if s.Steals > 0 {
 		m.steals.Add(int64(s.Steals))
 	}
-}
-
-func (m *engMetrics) recordCache(s Stats, cache *skyCache) {
-	m.cacheHits.Add(s.CacheHits)
-	m.cacheMisses.Add(s.CacheMisses)
-	if total := s.CacheHits + s.CacheMisses; total > 0 {
-		m.cacheHitRatio.Set(float64(s.CacheHits) / float64(total))
-	}
-	m.cacheEntries.Set(float64(cache.len()))
 }

@@ -185,9 +185,7 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 	}
 
 	// Publish: same output shape as computeNode, with cover positions
-	// mapped through st.ids instead of the canonical tuples. The repair
-	// path never consults or feeds the cache — there is no fingerprint to
-	// key it by without re-canonicalizing, which is the cost being skipped.
+	// mapped through st.ids instead of the canonical tuples.
 	pg, slot := e.out.at(u)
 	pg.nbrs[slot] = keepInts(pg.nbrs[slot], sc.ids)
 	sc.cover = st.sl.AppendSet(sc.cover)
@@ -225,9 +223,9 @@ func (e *Engine) recomputeNode(u int, sc *scratch) error {
 }
 
 // findSlot returns the position of v in ids. The caller guarantees
-// presence; ids is in cache order, so this is a linear scan — bounded by
-// the neighborhood size, and only run for the handful of changed
-// neighbors of a repaired node.
+// presence; swap-compaction leaves ids unsorted, so this is a linear scan
+// — bounded by the neighborhood size, and only run for the handful of
+// changed neighbors of a repaired node.
 //
 //mldcs:hotpath
 func findSlot(ids []int, v int) int {

@@ -67,7 +67,7 @@ func TestEngineUpdateRepairMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			label := fmt.Sprintf("step %d workers=%d cache=%v", step, ecfg.Workers, ecfg.Cache)
+			label := fmt.Sprintf("step %d workers=%d", step, ecfg.Workers)
 			requireSameResult(t, label, got, want)
 			if got.Stats.Repaired+got.Stats.Recomputed != got.Stats.Dirty {
 				t.Fatalf("%s: repaired %d + recomputed %d != dirty %d",
@@ -79,8 +79,8 @@ func TestEngineUpdateRepairMatchesFresh(t *testing.T) {
 			}
 			totalRepaired += got.Stats.Repaired
 		}
-		if !ecfg.Cache && totalRepaired == 0 {
-			t.Errorf("workers=%d cache=%v: repair path never fired under small-move mobility", ecfg.Workers, ecfg.Cache)
+		if totalRepaired == 0 {
+			t.Errorf("workers=%d: repair path never fired under small-move mobility", ecfg.Workers)
 		}
 	}
 }
@@ -155,7 +155,7 @@ func TestEngineUpdateAsymmetricRadiiSlide(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			label := fmt.Sprintf("slide step %d dx=%g workers=%d cache=%v", step, dx, ecfg.Workers, ecfg.Cache)
+			label := fmt.Sprintf("slide step %d dx=%g workers=%d", step, dx, ecfg.Workers)
 			requireSameResult(t, label, got, want)
 		}
 		// Mirror image: the small node slides out of its own reach while
@@ -170,7 +170,7 @@ func TestEngineUpdateAsymmetricRadiiSlide(t *testing.T) {
 			if err != nil {
 				t.Fatalf("small-slide step %d: %v", step, err)
 			}
-			label := fmt.Sprintf("small-slide step %d dx=%g workers=%d cache=%v", step, dx, ecfg.Workers, ecfg.Cache)
+			label := fmt.Sprintf("small-slide step %d dx=%g workers=%d", step, dx, ecfg.Workers)
 			requireSameResult(t, label, got, want)
 		}
 	}

@@ -52,7 +52,7 @@ func TestSnapshotConsistencyUnderUpdateMutation(t *testing.T) {
 			Radius: 0.5 + rng.Float64(),
 		}
 	}
-	e := New(Config{Cache: true})
+	e := New(Config{})
 	first, err := e.Compute(nodes)
 	if err != nil {
 		t.Fatal(err)

@@ -82,8 +82,8 @@ func (q *taskQueue) remaining() int64 {
 }
 
 // scratchFor returns worker w's persistent scratch, growing the pool on
-// demand. Scratches persist across passes so their buffers — and the L1
-// cache front — stay warm for the lifetime of the engine.
+// demand. Scratches persist across passes so their buffers stay warm for
+// the lifetime of the engine.
 func (e *Engine) scratchFor(w int) *scratch {
 	for len(e.scratches) <= w {
 		e.scratches = append(e.scratches, &scratch{})
@@ -111,12 +111,10 @@ func (e *Engine) forEachTask(n int, fn func(i int, sc *scratch)) int {
 	}
 	if workers == 1 {
 		sc := e.scratchFor(0)
-		sc.bypass = false
 		for i := 0; i < n; i++ {
 			fn(i, sc)
 		}
 		sc.load.items += n
-		e.cache.flush(sc)
 		e.collectLoads(1)
 		return 1
 	}
@@ -140,11 +138,9 @@ func (e *Engine) forEachTask(n int, fn func(i int, sc *scratch)) int {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		sc := e.scratchFor(w)
-		sc.bypass = false
 		wg.Add(1)
 		go func(w int, sc *scratch) {
 			defer wg.Done()
-			defer e.cache.flush(sc)
 			runWorker(w, queues, grain, fn, sc)
 		}(w, sc)
 	}

@@ -15,10 +15,10 @@ import (
 // EngineScaling compares the batched whole-network engine against the
 // sequential per-node pipeline (network.Build + Graph.LocalSet +
 // mldcs.Solve) across network sizes at the paper's heterogeneous density.
-// For each size it reports both wall times, the speedup, and the engine's
-// cache hit ratio, and it verifies on every replication that the two
-// pipelines produce element-identical forwarding sets — the experiment
-// doubles as a large-scale differential test.
+// For each size it reports both wall times and the speedup, and it
+// verifies on every replication that the two pipelines produce
+// element-identical forwarding sets — the experiment doubles as a
+// large-scale differential test.
 func EngineScaling(cfg Config, sizes []int) (Figure, error) {
 	cfg = cfg.normalized()
 	if len(sizes) == 0 {
@@ -28,7 +28,6 @@ func EngineScaling(cfg Config, sizes []int) (Figure, error) {
 	seq := Series{Label: "sequential ms"}
 	eng := Series{Label: "engine ms"}
 	speedup := Series{Label: "speedup ×"}
-	hitRatio := Series{Label: "cache hit %"}
 
 	reps := cfg.Replications
 	if reps > 5 {
@@ -40,7 +39,6 @@ func EngineScaling(cfg Config, sizes []int) (Figure, error) {
 		// yields ≈ n nodes at the target degree.
 		dcfg.Side = math.Sqrt(float64(n) * math.Pi * dcfg.ExpectedMinRadiusSq() / degree)
 		var tSeq, tEng time.Duration
-		var hits, misses int64
 		for rep := 0; rep < reps; rep++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(rep)))
 			nodes, err := deploy.Generate(dcfg, rng)
@@ -55,15 +53,13 @@ func EngineScaling(cfg Config, sizes []int) (Figure, error) {
 			}
 			tSeq += time.Since(start)
 
-			e := engine.New(engine.Config{Workers: cfg.Workers, Cache: true})
+			e := engine.New(engine.Config{Workers: cfg.Workers})
 			start = time.Now()
 			res, err := e.Compute(nodes)
 			if err != nil {
 				return Figure{}, err
 			}
 			tEng += time.Since(start)
-			hits += res.Stats.CacheHits
-			misses += res.Stats.CacheMisses
 
 			for u := range nodes {
 				if !intsEqual(res.Forwarding[u], fwd[u]) {
@@ -84,23 +80,16 @@ func EngineScaling(cfg Config, sizes []int) (Figure, error) {
 		} else {
 			speedup.Y = append(speedup.Y, 0)
 		}
-		hitRatio.X = append(hitRatio.X, x)
-		if total := hits + misses; total > 0 {
-			hitRatio.Y = append(hitRatio.Y, 100*float64(hits)/float64(total))
-		} else {
-			hitRatio.Y = append(hitRatio.Y, 0)
-		}
 	}
 	return Figure{
 		ID:     "engine-scaling",
 		Title:  "Whole-network engine vs sequential per-node MLDCS",
 		XLabel: "nodes n",
 		YLabel: "time / ratio",
-		Series: []Series{seq, eng, speedup, hitRatio},
+		Series: []Series{seq, eng, speedup},
 		Notes: []string{
 			fmt.Sprintf("engine ran with %d workers; speedup scales with cores (sequential baseline is single-threaded)", cfg.Workers),
 			"every replication cross-checked element-identical forwarding sets",
-			"cache hit % is near zero on uniform random deployments by design (exact-bit fingerprints); see docs/TESTING.md",
 		},
 	}, nil
 }

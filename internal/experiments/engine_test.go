@@ -7,7 +7,7 @@ func TestEngineScalingSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ID != "engine-scaling" || len(f.Series) != 4 {
+	if f.ID != "engine-scaling" || len(f.Series) != 3 {
 		t.Fatalf("figure shape wrong: id=%q series=%d", f.ID, len(f.Series))
 	}
 	for _, s := range f.Series {

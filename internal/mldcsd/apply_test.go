@@ -184,45 +184,3 @@ func TestNodesCountsLiveNodesNotSlots(t *testing.T) {
 		t.Fatalf("live nodes: Stats.Nodes %d, %s %g, /v1/epoch %d; want 2 each", sn.Res.Stats.Nodes, MetricNodes, gauge, ep.Nodes)
 	}
 }
-
-// TestServiceEnginePassesSkipSkylineCache: the service builds its engine
-// without the skyline cache, so no epoch — the set-up join batch, the
-// mobility groups or a churn group — probes or fills it. Under Apply the
-// cache all but never hits, and it never evicts.
-func TestServiceEnginePassesSkipSkylineCache(t *testing.T) {
-	const n = 2000
-	s, xs, ys := mobilityServer(t, n)
-	epochs := []*Snapshot{s.Latest()}
-	apply := func(ds []Delta) {
-		t.Helper()
-		seq, status := s.admit(Batch{Deltas: ds})
-		if status != http.StatusAccepted {
-			t.Fatalf("batch refused: %d", status)
-		}
-		epochs = append(epochs, waitApplied(t, s, seq))
-	}
-	rng := rand.New(rand.NewSource(5))
-	for g := 0; g < 5; g++ {
-		ds := make([]Delta, 20)
-		for i := range ds {
-			u := rng.Intn(n)
-			xs[u] += 0.02 * (rng.Float64() - 0.5)
-			ds[i] = Delta{Op: OpMove, Node: int64(u), X: &xs[u], Y: &ys[u]}
-		}
-		apply(ds)
-	}
-	one := 1.0
-	fresh := []float64{xs[0], ys[0], xs[1], ys[1]}
-	apply([]Delta{
-		{Op: OpLeave, Node: 0},
-		{Op: OpLeave, Node: 1},
-		{Op: OpJoin, Node: n, X: &fresh[0], Y: &fresh[1], R: &one},
-		{Op: OpJoin, Node: n + 1, X: &fresh[2], Y: &fresh[3], R: &one},
-	})
-	for _, sn := range epochs {
-		if st := sn.Res.Stats; st.CacheHits != 0 || st.CacheMisses != 0 {
-			t.Errorf("epoch %d: %d cache hits, %d misses; the service engine must not use the skyline cache",
-				sn.Epoch, st.CacheHits, st.CacheMisses)
-		}
-	}
-}

@@ -84,14 +84,13 @@ func Instrument(reg *MetricsRegistry, events *EventSink) {
 
 // Whole-network engine types. The engine computes every node's forwarding
 // set in one batched pass — spatial-grid neighbor discovery, a worker pool
-// sharded over grid cells, an optional skyline cache, and an incremental
-// recompute path for mobility deltas. Its output is element-identical to
-// running ForwardingSet per node; see docs/TESTING.md for the harness that
-// proves it.
+// sharded over grid cells, and an incremental recompute path for mobility
+// deltas. Its output is element-identical to running ForwardingSet per
+// node; see docs/TESTING.md for the harness that proves it.
 type (
 	// Engine is the batched whole-network MLDCS engine.
 	Engine = engine.Engine
-	// EngineConfig parameterizes an Engine (workers, cache, grid cell).
+	// EngineConfig parameterizes an Engine (workers, kinetic repair).
 	EngineConfig = engine.Config
 	// EngineResult is a per-node snapshot of forwarding sets, hub-cover
 	// flags, neighborhoods, and pass statistics.
