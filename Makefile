@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race svcbench-test bench bench-skyline bench-smoke bench-check bench-sweep bench-sweep-smoke cover fuzz fuzz-smoke lint lint-fast lint-eps e2e e2e-smoke experiments examples clean
+.PHONY: all build test race svcbench-test bench bench-skyline bench-smoke bench-check bench-sweep bench-sweep-smoke cover fuzz fuzz-smoke fmt-check lint lint-fast lint-eps e2e e2e-smoke experiments examples clean
 
 # The longitudinal benchmark history: every `make bench` / `make
 # bench-skyline` run appends its report here (with git SHA, cores,
@@ -17,13 +17,20 @@ all: build lint test
 build:
 	go build ./...
 
-# go vet plus the project lint suite (cmd/mldcslint): epsilon policy,
-# float equality, angle normalization, obs-sink, dropped skyline errors,
-# and the concurrency/hot-path analyzers (scratchescape, snapshotmut,
-# atomicfield, hotpathalloc). See docs/STATIC_ANALYSIS.md.
-lint:
+# gofmt, go vet and the project lint suite (cmd/mldcslint): epsilon
+# policy, float equality, angle normalization, obs-sink, dropped skyline
+# errors, and the concurrency/hot-path analyzers (scratchescape,
+# snapshotmut, atomicfield, hotpathalloc). See docs/STATIC_ANALYSIS.md.
+lint: fmt-check
 	go vet ./...
 	go run ./cmd/mldcslint ./...
+
+# Fails when gofmt would reformat any Go file outside vendor/ (analyzer
+# fixtures under testdata/ included); .bench_build/ holds svcbench's
+# build caches, not project sources.
+fmt-check:
+	@files=$$(find . \( -path ./vendor -o -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists files that need gofmt -w:" >&2; echo "$$files" >&2; exit 1; fi
 
 # lint-fast: vet + mldcslint on only the packages whose Go files changed
 # since the merge-base with origin/main (falling back to HEAD~1; full run

@@ -65,11 +65,9 @@ type entry struct {
 	NodeP99US    float64 `json:"node_p99_us,omitempty"`
 	NodeP999US   float64 `json:"node_p999_us,omitempty"`
 	// Sweep-only extras (mldcsbench): the cell's whole-network Compute
-	// time, worker load imbalance (max/mean nodes, worst tick), and
-	// work-stealing volume.
+	// time and worker load imbalance (max/mean nodes, worst tick).
 	ComputeMS       float64 `json:"compute_ms,omitempty"`
 	WorkerImbalance float64 `json:"worker_imbalance,omitempty"`
-	Steals          int     `json:"steals,omitempty"`
 }
 
 // key is the comparison unit: entries only ever compare within the same
@@ -135,7 +133,6 @@ type sweepReport struct {
 		TickP50MS       float64 `json:"tick_p50_ms"`
 		TickP99MS       float64 `json:"tick_p99_ms"`
 		WorkerImbalance float64 `json:"worker_imbalance"`
-		Steals          int     `json:"steals"`
 	} `json:"cells"`
 }
 
@@ -353,7 +350,6 @@ func sweepEntries(path, sha, ts string) ([]entry, error) {
 			TickP99MS:       c.TickP99MS,
 			ComputeMS:       c.ComputeMS,
 			WorkerImbalance: c.WorkerImbalance,
-			Steals:          c.Steals,
 		})
 	}
 	return out, nil

@@ -303,8 +303,8 @@ func TestAppendSweepReport(t *testing.T) {
 	if e.MS != 0.6 || e.TickP99MS != 1.9 || e.ComputeMS != 15 {
 		t.Errorf("latency fields = ms %g p99 %g compute %g", e.MS, e.TickP99MS, e.ComputeMS)
 	}
-	if e.WorkerImbalance != 1.8 || e.Steals != 12 {
-		t.Errorf("imbalance fields = %g/%d", e.WorkerImbalance, e.Steals)
+	if e.WorkerImbalance != 1.8 {
+		t.Errorf("imbalance field = %g", e.WorkerImbalance)
 	}
 	if es[0].key() == es[1].key() {
 		t.Error("distinct cells share a trajectory key")

@@ -1,10 +1,10 @@
 // Command mldcsbench runs the engine scaling sweep: a cores × workers ×
-// workload × contention matrix executed in-process, each cell measuring
-// one Compute pass plus a run of mobility Update ticks with latency
-// quantiles taken from the internal/obs histograms (engine_update_seconds)
-// rather than wall-clock-over-iterations, so the tail (p99/p999) is
-// visible, not just the mean. Per-worker load-imbalance stats ride along
-// in every cell to diagnose skew.
+// workload × contention matrix executed in-process. Each cell times a
+// whole-network Compute (the fastest of its reps) and a run of mobility
+// Update ticks, with tick quantiles taken from the internal/obs histograms
+// (engine_update_seconds) rather than wall-clock-over-iterations, so the
+// tail (p99/p999) is visible, not just the mean. The worst tick's worker
+// load imbalance (max/mean nodes per worker) rides along to diagnose skew.
 //
 // The sweep writes one JSON report (default BENCH_sweep.json). `benchdiff
 // -append -sweep` converts it into trajectory entries keyed per (cores,
@@ -55,7 +55,6 @@ type sweepCell struct {
 	WorkerImbalance float64 `json:"worker_imbalance"`
 	WorkerMaxNodes  int     `json:"worker_max_nodes"`
 	WorkerMeanNodes float64 `json:"worker_mean_nodes"`
-	Steals          int     `json:"steals"`
 }
 
 // sweepReport is the machine-readable output of one sweep run.
@@ -151,9 +150,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				rep.Cells = append(rep.Cells, cell)
 				fmt.Fprintf(stdout,
-					"cores=%d workers=%d %s/c=%g: compute %.2fms tick p50 %.3fms p99 %.3fms imbalance %.2f steals %d\n",
+					"cores=%d workers=%d %s/c=%g: compute %.2fms tick p50 %.3fms p99 %.3fms imbalance %.2f\n",
 					c, w, p.workload, p.contention, cell.ComputeMS,
-					cell.TickP50MS, cell.TickP99MS, cell.WorkerImbalance, cell.Steals)
+					cell.TickP50MS, cell.TickP99MS, cell.WorkerImbalance)
 			}
 		}
 	}
@@ -268,7 +267,6 @@ func runCell(cc cellConfig) (sweepCell, error) {
 			if err != nil {
 				return cell, err
 			}
-			cell.Steals += res.Stats.Steals
 			if res.Stats.WorkerImbalance > cell.WorkerImbalance {
 				cell.WorkerImbalance = res.Stats.WorkerImbalance
 				cell.WorkerMaxNodes = res.Stats.WorkerMaxNodes

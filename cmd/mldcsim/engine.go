@@ -113,9 +113,9 @@ func runEngine(o engineOpts) error {
 				return err
 			}
 			s := res.Stats
-			fmt.Printf("step %d: %d moved, %d dirty (%.1f%% of network), update %v, imbalance %.2f, steals %d\n",
+			fmt.Printf("step %d: %d moved, %d dirty (%.1f%% of network), update %v, imbalance %.2f\n",
 				step, s.Moved, s.Dirty, 100*float64(s.Dirty)/float64(s.Nodes),
-				time.Since(start).Round(time.Microsecond), s.WorkerImbalance, s.Steals)
+				time.Since(start).Round(time.Microsecond), s.WorkerImbalance)
 			if o.verify {
 				if err := verifyEngine(cur, res); err != nil {
 					return fmt.Errorf("step %d: %w", step, err)

@@ -5,9 +5,9 @@ package a
 import "repro/internal/skyline"
 
 func drops(disks []float64) skyline.Skyline {
-	s, _ := skyline.Compute(disks)  // want `error from skyline\.Compute discarded`
-	s.CheckInvariants(len(disks))   // want `error from skyline\.CheckInvariants discarded`
-	_ = s.Validate(len(disks))      // want `error from skyline\.Validate discarded`
+	s, _ := skyline.Compute(disks) // want `error from skyline\.Compute discarded`
+	s.CheckInvariants(len(disks))  // want `error from skyline\.CheckInvariants discarded`
+	_ = s.Validate(len(disks))     // want `error from skyline\.Validate discarded`
 	return s
 }
 

@@ -19,16 +19,16 @@ import (
 // RunStats summarizes one chaos run, for the JSONL log and for test
 // assertions that the stream actually exercised every chaos class.
 type RunStats struct {
-	Seed        int64 `json:"seed"`
-	Batches     int   `json:"batches"`      // accepted ingest batches (incl. syncs)
-	Deltas      int   `json:"deltas"`       // deltas inside them
-	Retries429  int   `json:"retries_429"`  // ingest retries after backpressure
-	Malformed   int   `json:"malformed"`    // hostile bodies sent (all must 400)
-	Disconnects int   `json:"disconnects"`  // mid-body client aborts
-	Restarts    int   `json:"restarts"`     // server kills + full re-syncs
-	Queries     int64 `json:"queries"`      // concurrent reads during the stream
-	QueryErrors int64 `json:"query_errors"` // transport errors tolerated (restart windows)
-	FinalNodes  int   `json:"final_nodes"`
+	Seed        int64  `json:"seed"`
+	Batches     int    `json:"batches"`      // accepted ingest batches (incl. syncs)
+	Deltas      int    `json:"deltas"`       // deltas inside them
+	Retries429  int    `json:"retries_429"`  // ingest retries after backpressure
+	Malformed   int    `json:"malformed"`    // hostile bodies sent (all must 400)
+	Disconnects int    `json:"disconnects"`  // mid-body client aborts
+	Restarts    int    `json:"restarts"`     // server kills + full re-syncs
+	Queries     int64  `json:"queries"`      // concurrent reads during the stream
+	QueryErrors int64  `json:"query_errors"` // transport errors tolerated (restart windows)
+	FinalNodes  int    `json:"final_nodes"`
 	FinalEpoch  uint64 `json:"final_epoch"`
 }
 

@@ -32,22 +32,13 @@ func TestComputeNodeSteadyStateAllocs(t *testing.T) {
 		sc := &scratch{}
 		// Warm-up: grow this scratch's buffers before counting.
 		for u := range nodes {
-			if err := e.computeNode(u, sc); err != nil {
-				t.Fatal(err)
-			}
+			e.computeNode(u, sc)
 		}
-		var nodeErr error
 		allocs := testing.AllocsPerRun(5, func() {
 			for u := range nodes {
-				if err := e.computeNode(u, sc); err != nil {
-					nodeErr = err
-					return
-				}
+				e.computeNode(u, sc)
 			}
 		})
-		if nodeErr != nil {
-			t.Fatal(nodeErr)
-		}
 		if allocs != 0 {
 			t.Errorf("steady-state recompute of %d nodes allocated %.1f objects/run, want 0",
 				len(nodes), allocs)
@@ -88,26 +79,17 @@ func TestComputeNodeInstrumentedAllocs(t *testing.T) {
 		// span budget so Begin is on its no-op fast path.
 		for uint64(engInstr.Load().spanNode.Total()) <= obs.DefaultSpanLimit {
 			for u := range nodes {
-				if err := e.computeNode(u, sc); err != nil {
-					t.Fatal(err)
-				}
+				e.computeNode(u, sc)
 			}
 		}
 		if got := engInstr.Load().spanNode.SampledCount(); got < obs.DefaultSpanLimit {
 			t.Fatalf("span budget not exhausted after warm-up: %d sampled", got)
 		}
-		var nodeErr error
 		allocs := testing.AllocsPerRun(5, func() {
 			for u := range nodes {
-				if err := e.computeNode(u, sc); err != nil {
-					nodeErr = err
-					return
-				}
+				e.computeNode(u, sc)
 			}
 		})
-		if nodeErr != nil {
-			t.Fatal(nodeErr)
-		}
 		if allocs != 0 {
 			t.Errorf("instrumented steady-state recompute of %d nodes allocated %.1f objects/run, want 0",
 				len(nodes), allocs)
@@ -168,11 +150,10 @@ func TestEngineDifferentialFuzzSeeds(t *testing.T) {
 	}
 }
 
-// updatePassHarness drives runUpdatePass the way Update does — wiggle a
-// fixed mover set by a tiny repairable slide, mark the dirty
-// neighborhoods, run the batched pass, reset the per-pass tables —
-// without publishing a View, so the tests below pin the cell-batching and
-// chunked-claiming machinery alone.
+// updatePassHarness drives runPass the way Apply does — wiggle a fixed
+// mover set by a tiny repairable slide, mark the dirty neighborhoods, run
+// the batched pass, reset the per-pass tables — without publishing a View,
+// so the tests below pin the cell-batching and fan-out machinery alone.
 type updatePassHarness struct {
 	e         *Engine
 	movers    []int
@@ -214,7 +195,7 @@ func newUpdatePassHarness(t *testing.T, workers, n, k int) *updatePassHarness {
 }
 
 // pass runs one batched update pass over the movers' dirty neighborhoods.
-func (h *updatePassHarness) pass() error {
+func (h *updatePassHarness) pass() {
 	e := h.e
 	clear(h.dirty)
 	cand := e.updCand[:e.out.n]
@@ -235,40 +216,29 @@ func (h *updatePassHarness) pass() error {
 			h.list = append(h.list, u)
 		}
 	}
-	_, err := e.runUpdatePass(h.list, h.movedMark)
+	e.runPass(h.list, h.movedMark)
 	for _, m := range h.movers {
 		h.movedMark[m] = false
 	}
 	for _, u := range h.list {
 		cand[u] = cand[u][:0]
 	}
-	return err
 }
 
 // A steady-state batched update pass — group the dirty list by owning
 // cell, merge-sort the batches, fan them over the pool, repair or
 // recompute each node — must not allocate on one worker: every buffer
-// (updEnts, updEntsTmp, updSpans, the pass closure, the claim queues, the
-// worker scratches) is reused across passes.
+// (batchEnts, batchTmp, batches, the pass body, the worker scratches) is
+// reused across passes.
 func TestUpdatePassSteadyStateAllocs(t *testing.T) {
 	h := newUpdatePassHarness(t, 1, 400, 16)
 	for i := 0; i < 5; i++ {
-		if err := h.pass(); err != nil {
-			t.Fatal(err)
-		}
+		h.pass()
 	}
 	if h.e.repaired.Load() == 0 {
 		t.Fatal("no repairs recorded; the harness is not exercising the repair path")
 	}
-	var passErr error
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := h.pass(); err != nil {
-			passErr = err
-		}
-	})
-	if passErr != nil {
-		t.Fatal(passErr)
-	}
+	allocs := testing.AllocsPerRun(10, h.pass)
 	if allocs != 0 {
 		t.Errorf("steady-state update pass allocated %.1f objects/run, want 0", allocs)
 	}
@@ -283,20 +253,9 @@ func TestUpdatePassAllocsIndependentOfMovers(t *testing.T) {
 	measure := func(k int) float64 {
 		h := newUpdatePassHarness(t, 4, 400, k)
 		for i := 0; i < 5; i++ {
-			if err := h.pass(); err != nil {
-				t.Fatal(err)
-			}
+			h.pass()
 		}
-		var passErr error
-		allocs := testing.AllocsPerRun(10, func() {
-			if err := h.pass(); err != nil {
-				passErr = err
-			}
-		})
-		if passErr != nil {
-			t.Fatal(passErr)
-		}
-		return allocs
+		return testing.AllocsPerRun(10, h.pass)
 	}
 	small, large := measure(8), measure(64)
 	if large > small+16 {

@@ -140,19 +140,30 @@ func BenchmarkEngineUpdateKinetic(b *testing.B) {
 }
 
 // BenchmarkApply measures one incremental pass through Apply at 100k
-// nodes. movers=k: k random nodes slide by ≤2% of their radius (k=20 is
-// one batch of the mldcsd mobility-100k service workload, k=320 a full
-// coalesced group of 16 such batches). churn: 2 nodes leave and 2 join
-// elsewhere in the freed slots, one batch of the churn-5k workload. B/op
-// is dominated by publishing: the copied pages of the dirty nodes plus
-// the page directory.
+// nodes, on one worker and on two. movers=k: k random nodes slide by ≤2%
+// of their radius (k=20 is one batch of the mldcsd mobility-100k service
+// workload, k=320 a full coalesced group of 16 such batches). churn: 2
+// nodes leave and 2 join elsewhere in the freed slots, one batch of the
+// churn-5k workload. B/op is dominated by publishing: the copied pages of
+// the dirty nodes plus the page directory.
 func BenchmarkApply(b *testing.B) {
 	const n = 100000
 	nodes, side, err := benchDeployment(n, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := New(Config{Workers: 1})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchApply(b, nodes, side, workers)
+		})
+	}
+}
+
+// benchApply runs BenchmarkApply's passes on one engine with the given
+// worker count.
+func benchApply(b *testing.B, nodes []network.Node, side float64, workers int) {
+	n := len(nodes)
+	e := New(Config{Workers: workers})
 	if _, err := e.Compute(nodes); err != nil {
 		b.Fatal(err)
 	}
@@ -218,7 +229,6 @@ type benchReportEntry struct {
 	NodeP999US   float64 `json:"node_p999_us"`
 	// Worker-pool load balance of the last engine pass (see Stats).
 	WorkerImbalance float64 `json:"worker_imbalance,omitempty"`
-	Steals          int     `json:"steals,omitempty"`
 }
 
 // TestEngineBenchReport writes the machine-readable engine benchmark used
@@ -372,7 +382,6 @@ func benchWorkload(t *testing.T, name string, nodes []network.Node, workers int)
 		NodeP999US:   nodeLat.P999 * 1e6,
 
 		WorkerImbalance: res.Stats.WorkerImbalance,
-		Steals:          res.Stats.Steals,
 	}
 	if engMS > 0 {
 		e.Speedup = seqMS / engMS
@@ -397,10 +406,9 @@ type benchUpdateEntry struct {
 	RepairFallbacks int     `json:"repair_fallbacks"`
 	SpeedupP50      float64 `json:"speedup_p50,omitempty"`
 	SpeedupP99      float64 `json:"speedup_p99,omitempty"`
-	// Worst-tick worker imbalance (max/mean nodes) and total stolen
-	// chunks across the run's Update passes.
+	// Worst-tick worker imbalance (max/mean nodes) across the run's
+	// Update passes.
 	WorkerImbalance float64 `json:"worker_imbalance,omitempty"`
-	Steals          int     `json:"steals,omitempty"`
 }
 
 // moveOp is one scripted displacement: node idx ends the tick at pos. The
@@ -465,7 +473,6 @@ func benchUpdateRun(t *testing.T, name string, nodes []network.Node, scripts [][
 		entry.Repaired += res.Stats.Repaired
 		entry.Recomputed += res.Stats.Recomputed
 		entry.RepairFallbacks += res.Stats.RepairFallbacks
-		entry.Steals += res.Stats.Steals
 		if res.Stats.WorkerImbalance > entry.WorkerImbalance {
 			entry.WorkerImbalance = res.Stats.WorkerImbalance
 		}
@@ -479,18 +486,17 @@ func benchUpdateRun(t *testing.T, name string, nodes []network.Node, scripts [][
 // benchScalingEntry is one worker count's row in the report's scaling
 // section: uniform-random Compute wall time (median of 3) with its
 // speedup vs the 1-worker row, plus a zipf-contended Update stream's tick
-// quantiles — the workload whose hot cells work-stealing exists for.
+// quantiles — the workload whose hot cells the shared batch cursor must
+// spread over the workers.
 type benchScalingEntry struct {
 	Workers         int     `json:"workers"`
 	ComputeMS       float64 `json:"compute_ms"`
 	Speedup         float64 `json:"speedup"`
 	WorkerImbalance float64 `json:"worker_imbalance"`
-	Steals          int     `json:"steals"`
 	ZipfNodes       int     `json:"zipf_nodes"`
 	ZipfTickP50MS   float64 `json:"zipf_tick_p50_ms"`
 	ZipfTickP99MS   float64 `json:"zipf_tick_p99_ms"`
 	ZipfImbalance   float64 `json:"zipf_worker_imbalance"`
-	ZipfSteals      int     `json:"zipf_steals"`
 }
 
 // benchScalingWorkers is the worker axis of the scaling section.
@@ -519,7 +525,6 @@ func benchScaling(t *testing.T, nodes []network.Node, n int) []benchScalingEntry
 			Workers:         w,
 			ComputeMS:       median3(eng),
 			WorkerImbalance: res.Stats.WorkerImbalance,
-			Steals:          res.Stats.Steals,
 		}
 		benchZipfUpdate(t, &e, zipfN, w)
 		out = append(out, e)
@@ -569,7 +574,6 @@ func benchZipfUpdate(t *testing.T, e *benchScalingEntry, n, workers int) {
 			t.Fatal(err)
 		}
 		ticksMS = append(ticksMS, float64(time.Since(start).Microseconds())/1000)
-		e.ZipfSteals += res.Stats.Steals
 		if res.Stats.WorkerImbalance > e.ZipfImbalance {
 			e.ZipfImbalance = res.Stats.WorkerImbalance
 		}

@@ -3,10 +3,11 @@
 // (Theorem 3: the MLDCS is the skyline set, O(n log n) per node); this
 // package is the whole-network counterpart that a production deployment
 // needs: neighbor discovery through a shared spatial grid, a worker pool
-// sharded over grid cells with per-worker scratch buffers, and an
-// incremental path (Apply) that only redoes the neighborhoods a batch of
-// moves, joins and leaves actually dirtied, patching most of them by
-// kinetic repair (kinetic.go) instead of re-solving them.
+// that takes grid-cell batches of nodes from one shared cursor, each
+// worker with its own scratch buffers, and an incremental path (Apply)
+// that only redoes the neighborhoods a batch of moves, joins and leaves
+// actually dirtied, patching most of them by kinetic repair (kinetic.go)
+// instead of re-solving them.
 // Every pass publishes an immutable copy-on-write View (view.go) whose cost
 // is proportional to the nodes the pass touched, not to the network.
 //
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -93,18 +93,18 @@ type Stats struct {
 	Recomputed      int
 	RepairFallbacks int
 	// Per-worker load accounting for the pass's parallel section (see
-	// pool.go): the heaviest and mean per-worker share of work items (cell
-	// batches) and nodes, the number of chunks obtained by work-stealing,
-	// and the imbalance ratio WorkerMaxNodes / WorkerMeanNodes (1.0 =
-	// perfectly balanced, higher = skew; 0 when the pass ran no work).
-	// Exported as the engine_worker_imbalance gauge and recorded in the
-	// benchmark reports to diagnose contended (hotspot) workloads.
-	WorkerMaxCells  int
-	WorkerMeanCells float64
+	// pool.go): the heaviest and mean per-worker share of nodes, and the
+	// imbalance ratio WorkerMaxNodes / WorkerMeanNodes (1.0 = perfectly
+	// balanced, higher = skew; 0 when the pass ran no work). Exported as
+	// the engine_worker_imbalance gauge and recorded in the benchmark
+	// reports to diagnose contended (hotspot) workloads.
 	WorkerMaxNodes  int
 	WorkerMeanNodes float64
 	WorkerImbalance float64
-	Steals          int
+
+	// Deprecated: the engine has no work stealing any more; Steals always
+	// reads zero. It remains only so existing readers still compile.
+	Steals int
 
 	// Deprecated: the engine has no skyline cache any more; CacheHits
 	// always reads zero. It remains only so existing readers still compile.
@@ -183,21 +183,17 @@ type Engine struct {
 	// never needs a grid query — and reset entry-wise after the pass.
 	updCand [][]int
 	// Parallel-driver state (pool.go): persistent per-worker scratches,
-	// the reusable claim queues, the last pass's per-worker load books,
-	// Compute's flattened work items, and Update's cell-batch buffers.
-	scratches  []*scratch
-	queues     []taskQueue
-	lastLoads  []workerLoad
-	items      []cellSpan
-	updEnts    []updEnt
-	updEntsTmp []updEnt
-	updSpans   []updSpan
-	// The update pass closure and its error collector persist on the
-	// engine (runUpdatePass): a per-call closure would escape through the
-	// worker goroutines and cost a heap allocation every tick.
-	updPassFn   func(i int, sc *scratch)
-	updPassMark []bool
-	updPassErr  runErr
+	// the shared batch cursor, and the pass's cell-batch buffers.
+	scratches []*scratch
+	next      atomic.Int64
+	batchEnts []batchEnt
+	batchTmp  []batchEnt
+	batches   []cellBatch
+	// The pass body persists on the engine (runPass): a per-call method
+	// value would escape through the worker goroutines and cost a heap
+	// allocation every pass.
+	passFn   func(i int, sc *scratch)
+	passMark []bool
 }
 
 // kinState is one node's cached kinetic state: the neighbor IDs parallel
@@ -246,18 +242,14 @@ func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
 	for i, n := range nodes {
 		e.out.write(Delta{Slot: i, Key: int64(i), Pos: n.Pos, Radius: n.Radius})
 	}
-	v, err := e.bulk()
-	if err != nil {
-		return nil, err
-	}
-	return v.Result(), nil
+	return e.bulk().Result(), nil
 }
 
 // bulk is the full pass over the store's present slots, which a fresh
 // reset and writes have filled: index them in a new grid whose cell is the
-// largest radius, then solve every node, sharding the grid's cells over
-// the worker pool.
-func (e *Engine) bulk() (*View, error) {
+// largest radius, then solve every node, fanning the grid's cells over the
+// worker pool.
+func (e *Engine) bulk() *View {
 	m := engInstr.Load()
 	start := time.Now()
 
@@ -285,45 +277,29 @@ func (e *Engine) bulk() (*View, error) {
 	}
 
 	if e.live == 0 {
-		return e.publish(), nil
+		return e.publish()
 	}
 	e.grid = spatial.NewGrid(nil, maxR)
+	list := make([]int, 0, e.live)
 	for u := 0; u < n; u++ {
 		if e.out.present(u) {
 			e.grid.Insert(u, e.out.node(u).Pos)
+			list = append(list, u)
 		}
 	}
-	cells := e.grid.Cells()
-	e.stats.Cells = len(cells)
+	e.stats.Cells = e.grid.NumCells()
 
 	var passSpan obs.Span
-	var spanCell *obs.SpanKind
 	if m != nil {
 		passSpan = m.spanCompute.Begin()
-		spanCell = m.spanCell
 	}
-	e.buildComputeItems(cells)
-	var firstErr runErr
-	workers := e.forEachTask(len(e.items), func(i int, sc *scratch) {
-		it := e.items[i]
-		batch := cells[it.cell][it.lo:it.hi]
-		batchSpan := spanCell.Begin()
-		for _, u := range batch {
-			if err := e.computeNode(u, sc); err != nil {
-				firstErr.set(err)
-				break
-			}
-		}
-		sc.load.nodes += len(batch)
-		if batchSpan.Sampled() {
-			batchSpan.End(map[string]any{"cell": int(it.cell), "nodes": len(batch)})
-		}
-	})
-	if err := firstErr.get(); err != nil {
-		return nil, err
-	}
+	// Every kinetic state is invalid, so the pass recomputes every node.
+	workers := e.runPass(list, nil)
 	e.stats.Workers = workers
-	e.stats.recordLoads(e.lastLoads)
+	e.stats.recordLoads(e.scratches[:workers])
+	// These batches span the network; drop them, so the engine keeps only
+	// the O(dirty) batch buffers Apply's passes grow.
+	e.batchEnts, e.batchTmp, e.batches = nil, nil, nil
 	e.stats.Dirty = e.live
 	e.stats.Fallbacks = int(e.fallbacks.Load())
 	for u := 0; u < n; u++ {
@@ -341,7 +317,49 @@ func (e *Engine) bulk() (*View, error) {
 			"workers": e.stats.Workers,
 		})
 	}
-	return v, nil
+	return v
+}
+
+// runPass brings every node of list up to date — kinetic repair where its
+// cached state allows, a full recompute otherwise (updateNode) — fanning
+// the list over the worker pool in cell batches, and returns the number
+// of workers used. movedMark is Apply's per-pass "did this slot change"
+// table; the bulk pass passes nil, having invalidated every kinetic state
+// so that updateNode never reads it. Split out from Apply so the
+// allocation regression tests can pin the batching and fan-out at zero
+// steady-state allocations without publishing a View.
+func (e *Engine) runPass(list []int, movedMark []bool) int {
+	// Make every page the pass writes private first, sequentially: own
+	// rewrites directory entries, which the workers read unsynchronized.
+	for _, u := range list {
+		e.out.own(u)
+	}
+	e.buildBatches(list)
+	e.passMark = movedMark
+	if e.passFn == nil {
+		e.passFn = e.runBatch
+	}
+	workers := e.forEachBatch(len(e.batches), e.passFn)
+	e.passMark = nil
+	return workers
+}
+
+// runBatch is the pass body: it brings cell batch i's nodes up to date on
+// worker scratch sc.
+func (e *Engine) runBatch(i int, sc *scratch) {
+	b := e.batches[i]
+	batch := e.batchEnts[b.lo:b.hi]
+	var span obs.Span
+	if m := engInstr.Load(); m != nil {
+		span = m.spanCell.Begin()
+	}
+	for _, ent := range batch {
+		e.updateNode(int(ent.node), sc, e.passMark)
+	}
+	sc.nodes += len(batch)
+	if span.Sampled() {
+		span.End(map[string]any{"nodes": len(batch)})
+	}
 }
 
 // publish ends a successful pass: it numbers the epoch and freezes the
@@ -373,8 +391,8 @@ type scratch struct {
 	sl       skyline.Skyline // reusable skyline output
 	cover    []int           // reusable skyline set
 	fwdBuf   []int           // reusable mapped forwarding IDs
-	// load books this worker's share of the current pass (pool.go).
-	load workerLoad
+	// nodes books this worker's share of the current pass (pool.go).
+	nodes int
 	// Kinetic repair buffers (see kinetic.go): neighborhood diff lists,
 	// the sorted copy of the cached neighbor IDs the diff searches, and
 	// the skyline the repair surgery ping-pongs through.
@@ -402,7 +420,7 @@ type nbTuple struct {
 // bit; the local set is then canonicalized and solved.
 //
 //mldcs:hotpath
-func (e *Engine) computeNode(u int, sc *scratch) error {
+func (e *Engine) computeNode(u int, sc *scratch) {
 	var nodeSpan obs.Span
 	if m := engInstr.Load(); m != nil {
 		//mldcslint:allow hotpathalloc span begin runs only with instrumentation attached; TestComputeNodeInstrumentedAllocs bounds it
@@ -464,7 +482,7 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 			//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
 			nodeSpan.End(map[string]any{"node": u, "neighbors": len(sc.ids), "fallback": true})
 		}
-		return nil
+		return
 	}
 	if !e.cfg.DisableRepair {
 		// Seed the kinetic state for Update's repair path: the neighbor IDs
@@ -500,7 +518,6 @@ func (e *Engine) computeNode(u int, sc *scratch) error {
 		//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
 		nodeSpan.End(map[string]any{"node": u, "neighbors": len(sc.ids), "cover": len(sc.fwdBuf)})
 	}
-	return nil
 }
 
 // keepInts returns old unchanged when it already holds exactly the values
@@ -607,31 +624,4 @@ func (e *Engine) fallbackNode(u int, cause error) {
 	if m := engInstr.Load(); m != nil {
 		m.recordFallback(u, len(pg.nbrs[slot]), cause)
 	}
-}
-
-// runErr collects the first error raised inside the worker pool.
-type runErr struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *runErr) set(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-func (f *runErr) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-// reset clears the collector for reuse across passes.
-func (f *runErr) reset() {
-	f.mu.Lock()
-	f.err = nil
-	f.mu.Unlock()
 }

@@ -99,7 +99,7 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 		for _, d := range ds {
 			e.out.write(d)
 		}
-		return e.bulk()
+		return e.bulk(), nil
 	}
 
 	m := engInstr.Load()
@@ -218,7 +218,7 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 	if m != nil {
 		tickSpan = m.spanUpdate.Begin()
 	}
-	workers, passErr := e.runUpdatePass(list, movedMark)
+	workers := e.runPass(list, movedMark)
 	for _, u := range ids {
 		movedMark[u] = false
 	}
@@ -228,9 +228,6 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 		dirty[u] = false
 		cand[u] = cand[u][:0]
 		edges += len(e.out.nbrs(u))
-	}
-	if passErr != nil {
-		return nil, passErr
 	}
 
 	e.stats = Stats{
@@ -246,7 +243,7 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 		Recomputed:      int(e.recomputed.Load()),
 		RepairFallbacks: int(e.repairFB.Load()),
 	}
-	e.stats.recordLoads(e.lastLoads)
+	e.stats.recordLoads(e.scratches[:workers])
 	v := e.publish()
 	if m != nil {
 		m.recordUpdate(e.stats, time.Since(start))
@@ -258,44 +255,4 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 		})
 	}
 	return v, nil
-}
-
-// runUpdatePass fans the dirty list over the worker pool as per-cell
-// batches: dirty nodes are grouped by owning grid cell (buildUpdateBatches)
-// and each batch is one claimable work item, so a tick's repair work runs
-// in parallel with cell-level locality instead of sequentially per node.
-// Work distribution cannot change results — each node's repair touches
-// only that node's state — so any claiming/stealing order produces the
-// same snapshot; the kinetic differential tests pin that across the
-// workers matrix. Split out from Apply so the allocation regression tests
-// can pin the batching + claiming machinery at zero steady-state
-// allocations without publishing a View.
-func (e *Engine) runUpdatePass(list []int, movedMark []bool) (int, error) {
-	// Make every page the pass writes private first, sequentially: own
-	// rewrites directory entries, which the workers read unsynchronized.
-	for _, u := range list {
-		e.out.own(u)
-	}
-	e.buildUpdateBatches(list)
-	e.updPassMark = movedMark
-	e.updPassErr.reset()
-	// The pass closure and error collector live on the engine so a
-	// steady-state tick allocates nothing: a fresh closure per call would
-	// escape to the heap through the worker goroutines.
-	if e.updPassFn == nil {
-		e.updPassFn = func(i int, sc *scratch) {
-			sp := e.updSpans[i]
-			batch := e.updEnts[sp.lo:sp.hi]
-			for _, ent := range batch {
-				if err := e.updateNode(int(ent.node), sc, e.updPassMark); err != nil {
-					e.updPassErr.set(err)
-					break
-				}
-			}
-			sc.load.nodes += len(batch)
-		}
-	}
-	workers := e.forEachTask(len(e.updSpans), e.updPassFn)
-	e.updPassMark = nil
-	return workers, e.updPassErr.get()
 }

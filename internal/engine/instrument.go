@@ -18,12 +18,9 @@ const (
 	MetricNodesPerSec    = "engine_nodes_per_second"
 	MetricCellsPerSec    = "engine_cells_per_second"
 	MetricWorkers        = "engine_workers"
-	// Per-pass load balance of the worker pool: the imbalance gauge is
-	// max/mean nodes processed per worker (1.0 = perfectly balanced), and
-	// the steal counter accumulates chunks claimed from another worker's
-	// range by the work-stealing scheduler.
+	// Per-pass load balance of the worker pool: max/mean nodes processed
+	// per worker (1.0 = perfectly balanced) of the last multi-worker pass.
 	MetricWorkerImbalance = "engine_worker_imbalance"
-	MetricStealTotal      = "engine_steal_total"
 	MetricDirtyNodes      = "engine_dirty_nodes"
 	MetricDirtyFraction   = "engine_dirty_fraction"
 	MetricFallbacks       = "engine_fallback_total"
@@ -42,7 +39,7 @@ const (
 
 	// Span kinds emitted by this package (see obs.SpanTracer): one span per
 	// whole-network Compute pass, one per incremental Update tick, one per
-	// worker cell batch inside a pass, and one per per-node recompute.
+	// worker cell batch inside either pass, and one per per-node recompute.
 	SpanCompute = "engine_compute"
 	SpanUpdate  = "engine_update"
 	SpanCell    = "engine_cell"
@@ -62,10 +59,9 @@ type engMetrics struct {
 	nodesPerSec    *obs.Gauge
 	cellsPerSec    *obs.Gauge
 	workers        *obs.Gauge
-	// Worker-pool load balance: imbalance is the last pass's max/mean
-	// nodes per worker; steals accumulates work-stealing chunk claims.
+	// Worker-pool load balance: the last multi-worker pass's max/mean
+	// nodes per worker.
 	workerImbalance *obs.Gauge
-	steals          *obs.Counter
 	// dirtyNodes is the per-Update dirty-set size distribution;
 	// dirtyFraction the last Update's dirty share of the network, the
 	// quantity that makes incremental recompute worthwhile.
@@ -114,7 +110,6 @@ func Instrument(r *obs.Registry, sink *obs.EventSink) {
 		cellsPerSec:     r.Gauge(MetricCellsPerSec),
 		workers:         r.Gauge(MetricWorkers),
 		workerImbalance: r.Gauge(MetricWorkerImbalance),
-		steals:          r.Counter(MetricStealTotal),
 		dirtyNodes:      r.Histogram(MetricDirtyNodes),
 		dirtyFraction:   r.Gauge(MetricDirtyFraction),
 		fallbacks:       r.Counter(MetricFallbacks),
@@ -173,10 +168,7 @@ func (m *engMetrics) recordUpdate(s Stats, elapsed time.Duration) {
 // only moves on multi-worker passes — an empty or single-worker pass has
 // no balance to speak of and would just reset the gauge to 1.
 func (m *engMetrics) recordBalance(s Stats) {
-	if s.WorkerImbalance > 0 {
+	if s.Workers > 1 {
 		m.workerImbalance.Set(s.WorkerImbalance)
-	}
-	if s.Steals > 0 {
-		m.steals.Add(int64(s.Steals))
 	}
 }

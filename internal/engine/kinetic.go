@@ -35,15 +35,17 @@ import (
 // the neighborhood the O(k log k) rebuild wins.
 const repairMaxDiffFactor = 3
 
-// updateNode brings node u up to date during an Apply pass: kinetic
-// repair when the cached state allows it, full recompute otherwise.
-// movedMark is Apply's per-pass "did this slot change" table.
+// updateNode brings node u up to date during a pass: kinetic repair when
+// the cached state allows it, full recompute otherwise. movedMark is
+// Apply's per-pass "did this slot change" table; a bulk pass passes nil,
+// since no kinetic state is valid there.
 //
 //mldcs:hotpath
-func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
+func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 	st := &e.kin[u]
 	if e.cfg.DisableRepair || !st.valid || movedMark[u] {
-		return e.recomputeNode(u, sc)
+		e.recomputeNode(u, sc)
+		return
 	}
 
 	// Diff the neighborhood from Apply's per-node candidate list instead
@@ -107,10 +109,11 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 		pg, slot := e.out.at(u)
 		pg.nbrs[slot] = keepInts(pg.nbrs[slot], sc.ids)
 		e.repaired.Add(1)
-		return nil
+		return
 	}
 	if changes*repairMaxDiffFactor > len(st.disks) {
-		return e.recomputeNode(u, sc)
+		e.recomputeNode(u, sc)
+		return
 	}
 
 	var nodeSpan obs.Span
@@ -181,7 +184,8 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 			//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
 			nodeSpan.End(map[string]any{"node": u, "changes": changes, "abandoned": true})
 		}
-		return e.recomputeNode(u, sc)
+		e.recomputeNode(u, sc)
+		return
 	}
 
 	// Publish: same output shape as computeNode, with cover positions
@@ -210,16 +214,15 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) error {
 			nodeSpan.End(map[string]any{"node": u, "changes": changes, "arcs": len(st.sl)})
 		}
 	}
-	return nil
 }
 
 // recomputeNode is updateNode's slow path: the ordinary full per-node
 // compute (which re-seeds the kinetic state as a side effect), counted.
 //
 //mldcs:hotpath
-func (e *Engine) recomputeNode(u int, sc *scratch) error {
+func (e *Engine) recomputeNode(u int, sc *scratch) {
 	e.recomputed.Add(1)
-	return e.computeNode(u, sc)
+	e.computeNode(u, sc)
 }
 
 // findSlot returns the position of v in ids. The caller guarantees
