@@ -342,14 +342,17 @@ func isString(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-// boxingSites flags concrete values passed to interface parameters.
+// boxingSites flags concrete values passed to interface parameters. It
+// reads the call's instantiated signature, not the callee's declared one:
+// a generic function's type parameters have interface constraints as
+// their underlying types, but an instantiation passes its arguments
+// unboxed (slices.SortFunc, cmp.Compare).
 func (c *checker) boxingSites(call *ast.CallExpr, add func(ast.Node, string)) {
 	info := c.pass.TypesInfo
-	fn := callee(info, call)
-	if fn == nil {
+	if callee(info, call) == nil {
 		return
 	}
-	sig, ok := fn.Type().(*types.Signature)
+	sig, ok := info.Types[call.Fun].Type.(*types.Signature)
 	if !ok {
 		return
 	}

@@ -5,7 +5,9 @@
 package a
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/helpers"
 )
@@ -44,6 +46,28 @@ func sink(v interface{}) {}
 //mldcs:hotpath
 func hotBoxing(x int) {
 	sink(x) // want `interface boxing of int`
+}
+
+func sinkAny(v any) {}
+
+func generic[T any](v T) T { return v }
+
+type pair struct {
+	key int64
+	id  int
+}
+
+// hotGeneric: a generic call passes its arguments at their instantiated
+// types, so none of these box; a concrete value passed to an any
+// parameter still does.
+//
+//mldcs:hotpath
+func hotGeneric(ps []pair, x int) int {
+	slices.SortFunc(ps, func(a, b pair) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
+	})
+	sinkAny(x) // want `interface boxing of int`
+	return generic(x)
 }
 
 //mldcs:hotpath

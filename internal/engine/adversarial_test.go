@@ -78,6 +78,50 @@ func nearTangentNodes(rng *rand.Rand, clusters int) []network.Node {
 	return nodes
 }
 
+// nearDuplicateNodes builds hub-and-pairs clusters aimed at the skyline's
+// lower-index tie-break: each cluster has a hub and 3–6 pairs of
+// equal-radius neighbors spread around it, the two disks of a pair
+// centred 1e-12 to 1e-10 apart. Their ρ values differ by far less than
+// geom.RhoEps at every angle, so a pair ties wherever it reaches the
+// envelope and the disk with the lower index in the local set represents
+// it. IDs alternate between the two orders a pair can take in the hub's
+// frame: in every other pair the lower ID goes to the twin whose
+// (radius, x, y) bits sort after its partner's, so only an engine that
+// orders each local set by ID, as network.Build numbers it, picks the
+// twin the sequential pipeline picks.
+func nearDuplicateNodes(rng *rand.Rand, clusters int) []network.Node {
+	var nodes []network.Node
+	add := func(p geom.Point) {
+		nodes = append(nodes, network.Node{ID: len(nodes), Pos: p, Radius: 2})
+	}
+	bitsLess := func(a, b, hub geom.Point) bool {
+		ax, bx := math.Float64bits(a.X-hub.X), math.Float64bits(b.X-hub.X)
+		if ax != bx {
+			return ax < bx
+		}
+		return math.Float64bits(a.Y-hub.Y) < math.Float64bits(b.Y-hub.Y)
+	}
+	for c := 0; c < clusters; c++ {
+		hub := geom.Pt(float64(c)*10, rng.Float64())
+		add(hub)
+		k := 3 + rng.Intn(4)
+		for i := 0; i < k; i++ {
+			theta := (float64(i) + 0.3*rng.Float64()) / float64(k) * geom.TwoPi
+			d := 0.5 + rng.Float64()
+			p := geom.Pt(hub.X+d*math.Cos(theta), hub.Y+d*math.Sin(theta))
+			delta := math.Pow(10, -12+2*rng.Float64())
+			phi := rng.Float64() * geom.TwoPi
+			q := geom.Pt(p.X+delta*math.Cos(phi), p.Y+delta*math.Sin(phi))
+			if bitsLess(p, q, hub) == (i%2 == 0) {
+				p, q = q, p
+			}
+			add(p) // the lower ID
+			add(q)
+		}
+	}
+	return nodes
+}
+
 // TestEngineAdversarialBoundaryDeployments runs the boundary-distance
 // generator through the full differential matrix and the naive skyline
 // oracle. Any divergence between the epsilon handling of the grid, the
@@ -121,6 +165,32 @@ func TestEngineAdversarialNearTangentDeployments(t *testing.T) {
 		}
 		for _, cfg := range engineVariants() {
 			label := fmt.Sprintf("tangent seed=%d workers=%d", seed, cfg.Workers)
+			res, err := New(cfg).Compute(nodes)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertIdentical(t, label, res, fwd, hubIn, g)
+		}
+	}
+}
+
+// TestEngineAdversarialNearDuplicateDeployments runs the near-duplicate
+// generator through the differential matrix: wherever a pair's tie
+// decides the cover, the engine must name the same twin as the
+// sequential pipeline, which numbers every local set in ID order.
+func TestEngineAdversarialNearDuplicateDeployments(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(600 + seed))
+		nodes := nearDuplicateNodes(rng, 4)
+		fwd, hubIn, g := sequentialForwarding(t, nodes)
+		naive := naiveForwarding(t, g)
+		for u := range fwd {
+			if !equalSets(fwd[u], naive[u]) {
+				t.Fatalf("seed %d: node %d sequential=%v naive=%v", seed, u, fwd[u], naive[u])
+			}
+		}
+		for _, cfg := range engineVariants() {
+			label := fmt.Sprintf("near-duplicate seed=%d workers=%d", seed, cfg.Workers)
 			res, err := New(cfg).Compute(nodes)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

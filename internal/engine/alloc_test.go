@@ -15,8 +15,9 @@ import (
 
 // Steady-state per-node recompute — same geometry, warm worker scratch —
 // must not allocate: the skyline runs in the worker's skyline.Scratch, the
-// canonical ordering uses the in-scratch merge sort, and unchanged outputs
-// are compare-and-kept instead of re-copied. The subtest keeps its
+// key order sorts a scratch buffer in place, the local set and skyline
+// are rebuilt in the node's own kinetic state, and unchanged outputs are
+// compare-and-kept instead of re-copied. The subtest keeps its
 // cache=false name from when the engine had a skyline cache; every node
 // now recomputes its skyline, which is the path that name always covered.
 func TestComputeNodeSteadyStateAllocs(t *testing.T) {

@@ -19,8 +19,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -52,9 +53,10 @@ type Config struct {
 // Delta is one entry of an Apply call: slot Slot's state after the pass.
 // A join or a move gives the slot the disk (Pos, Radius), Radius > 0, under
 // the ordering key Key; a leave (Leave set, the other fields ignored)
-// makes the slot absent. Keys order exact-duplicate neighbor disks in the
-// skyline tie-break (the lower key represents), so present slots should
-// carry distinct keys.
+// makes the slot absent. Keys order every local set, which settles the
+// skyline's tie-break between neighbor disks within geom.RhoEps of each
+// other (the lower key represents), so present slots should carry
+// distinct keys.
 type Delta struct {
 	Slot   int
 	Key    int64
@@ -80,15 +82,16 @@ type Stats struct {
 	// were given the always-correct full local set instead — a degenerate
 	// input degrades to a bigger forwarding set, never a wrong one.
 	Fallbacks int
-	// Kinetic accounting, Update-only (zero on a full Compute). Every
-	// dirty node is either Repaired (its cached skyline was patched in
-	// place by arc surgery) or Recomputed (full skyline recompute: the
-	// node itself moved, its kinetic state was invalid, the neighborhood
-	// diff was too large, or a repair was abandoned). RepairFallbacks
-	// counts the abandoned repairs — an envelope tie or a tripped
-	// invariant mid-surgery — which recompute and are also in Recomputed.
-	// Distinct from Fallbacks: a repair fallback falls back to the normal
-	// full compute, not to the degenerate full-local-set answer.
+	// Kinetic accounting of an Apply pass (Update's included; zero on a
+	// full Compute). Every dirty node is either Repaired (its kinetic
+	// state's skyline was patched in place by arc surgery) or Recomputed
+	// (full skyline recompute: the node itself moved, its kinetic state
+	// was invalid, the neighborhood diff was too large, or a repair was
+	// abandoned). RepairFallbacks counts the abandoned repairs — an
+	// envelope tie or a tripped invariant mid-surgery — which recompute
+	// and are also in Recomputed. Distinct from Fallbacks: a repair
+	// fallback falls back to the normal full compute, not to the
+	// degenerate full-local-set answer.
 	Repaired        int
 	Recomputed      int
 	RepairFallbacks int
@@ -162,10 +165,10 @@ type Engine struct {
 	repaired   atomic.Int64
 	recomputed atomic.Int64
 	repairFB   atomic.Int64
-	// kin holds each node's kinetic state — the hub-frame disk list and
-	// skyline the last full compute produced — which Update's repair path
-	// patches in place instead of recomputing. Entry u is only ever
-	// touched by the worker that owns node u in the current pass.
+	// kin holds each node's kinetic state — the key-ordered local set and
+	// skyline computeNode last built — which Apply's repair path patches
+	// in place instead of recomputing. Entry u is only ever touched by the
+	// worker that owns node u in the current pass.
 	kin []kinState
 	// Apply's bookkeeping, reused across calls so a steady mobility loop
 	// does not re-allocate it every step: the changed slots with their
@@ -196,13 +199,14 @@ type Engine struct {
 	passMark []bool
 }
 
-// kinState is one node's cached kinetic state: the neighbor IDs parallel
-// to disks[1:] (disks[0] is the hub's own disk), and the skyline over
-// disks. The ID order starts canonical (the compute's tuple order) and is
-// scrambled by swap-compaction as neighbors depart; only the parallel
-// correspondence matters. valid is false whenever the cached pair cannot
-// be trusted: before the first compute, after a degeneracy fallback
-// (which keeps no skyline), or mid-abandoned repair.
+// kinState is one node's kinetic state: the neighbor IDs parallel to
+// disks[1:] (disks[0] is the hub's own disk), and the skyline over disks.
+// computeNode builds all three in place, neighbors in key order; repair
+// scrambles that order by swap-compaction as neighbors depart and appends
+// joiners at the tail, and only the parallel correspondence matters
+// there. valid is false whenever the state cannot be trusted: before the
+// first compute, with repair disabled, after a degeneracy fallback, or
+// mid-abandoned repair.
 type kinState struct {
 	valid bool
 	ids   []int
@@ -383,41 +387,33 @@ func (e *Engine) Result() *Result { return e.view.Result() }
 // a steady-state recompute (same geometry, warm buffers) performs zero
 // heap allocations per node — the allocation regression tests pin this.
 type scratch struct {
-	ids      []int           // gathered neighbor IDs
-	tuples   []nbTuple       // canonical neighbor ordering
-	tupleTmp []nbTuple       // merge buffer for sortTuples
-	disks    []geom.Disk     // hub-frame disk set handed to the skyline
-	sky      skyline.Scratch // skyline working memory (ComputeInto)
-	sl       skyline.Skyline // reusable skyline output
-	cover    []int           // reusable skyline set
-	fwdBuf   []int           // reusable mapped forwarding IDs
+	ids    []int           // gathered neighbor IDs, ascending
+	byKey  []nbTuple       // the neighbors in key order
+	sky    skyline.Scratch // skyline working memory (ComputeInto)
+	cover  []int           // reusable skyline set
+	fwdBuf []int           // reusable mapped forwarding IDs
 	// nodes books this worker's share of the current pass (pool.go).
 	nodes int
-	// Kinetic repair buffers (see kinetic.go): neighborhood diff lists,
-	// the sorted copy of the cached neighbor IDs the diff searches, and
+	// Kinetic repair buffers (see kinetic.go): neighborhood diff lists and
 	// the skyline the repair surgery ping-pongs through.
 	lost    []int
 	gained  []int
 	movedNb []int
-	oldIDs  []int
 	cands   []int
 	ksl     skyline.Skyline
 }
 
-// nbTuple is one neighbor disk in the hub-at-origin frame, carrying the
-// raw float bits used for canonical ordering and the neighbor's key, which
-// orders exact duplicates.
+// nbTuple is one neighbor's place in the key order: its key, then its
+// slot.
 type nbTuple struct {
-	xb, yb, rb uint64
-	key        int64
-	disk       geom.Disk
-	id         int
+	key int64
+	id  int
 }
 
 // computeNode recomputes node u's neighborhood and forwarding set. It
 // mirrors network.Build's bidirectional link predicate exactly (same grid
 // query, same tolerance), so Neighbors matches Graph.Neighbors bit for
-// bit; the local set is then canonicalized and solved.
+// bit; the local set is then put in key order and solved.
 //
 //mldcs:hotpath
 func (e *Engine) computeNode(u int, sc *scratch) {
@@ -442,40 +438,39 @@ func (e *Engine) computeNode(u int, sc *scratch) {
 	pg, slot := e.out.at(u)
 	pg.nbrs[slot] = keepInts(pg.nbrs[slot], sc.ids)
 
-	// Canonical ordering: neighbors in the hub frame sorted by their raw
-	// coordinate bits. The order is independent of slots and of the node's
-	// absolute position, so two nodes anywhere in the network with
-	// bit-identical relative neighborhoods produce the same disk sequence,
-	// and hence the same skyline computation. Exact duplicate disks are
-	// ordered by key, so the skyline's canonical tie-break (larger radius,
-	// then lower index) picks the lowest-key duplicate: the one the
-	// per-node solver picks over nodes numbered in key order, whatever
-	// slots they occupy.
-	sc.tuples = sc.tuples[:0]
+	// Key order, slot breaking ties: the order network.Build numbers nodes
+	// in when keys are IDs, so the skyline sees the disk sequence the
+	// per-node solver sees. By Theorem 3 the cover does not depend on that
+	// order except through the skyline's tie-break (larger radius, then
+	// lower index) between disks within geom.RhoEps of each other; there
+	// the lowest-key disk represents, as it does in the solver.
+	sc.byKey = sc.byKey[:0]
 	for _, v := range sc.ids {
-		d := e.out.node(v).Disk().Translate(hub.Pos)
-		sc.tuples = append(sc.tuples, nbTuple{
-			xb:   math.Float64bits(d.C.X),
-			yb:   math.Float64bits(d.C.Y),
-			rb:   math.Float64bits(d.R),
-			key:  e.out.key(v),
-			disk: d,
-			id:   v,
-		})
+		sc.byKey = append(sc.byKey, nbTuple{key: e.out.key(v), id: v})
 	}
-	sortTuples(sc)
+	slices.SortFunc(sc.byKey, func(a, b nbTuple) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
+	})
 
-	sc.disks = sc.disks[:0]
-	sc.disks = append(sc.disks, geom.Disk{R: hub.Radius})
-	for i := range sc.tuples {
-		sc.disks = append(sc.disks, sc.tuples[i].disk)
+	// The kinetic state is the local set itself: ids parallel to disks[1:]
+	// in key order, and the skyline over disks. disks grows once to the
+	// set's size, where per-disk appends would leave many nodes nearly
+	// twice the capacity; ids keeps append's doubling slack, which absorbs
+	// neighbors gained by repair. The local-disk-set precondition holds by
+	// construction — the pass validated the hub radius and the link
+	// predicate only admits neighbors that reach back over the hub — so
+	// the validation pass is skipped; a degenerate result is still caught
+	// by the invariant check below.
+	st := &e.kin[u]
+	st.ids = st.ids[:0]
+	st.disks = slices.Grow(st.disks[:0], len(sc.byKey)+1)
+	st.disks = append(st.disks, geom.Disk{R: hub.Radius})
+	for _, t := range sc.byKey {
+		st.ids = append(st.ids, t.id)
+		st.disks = append(st.disks, e.out.node(t.id).Disk().Translate(hub.Pos))
 	}
-	// The local-disk-set precondition holds by construction — the pass
-	// validated the hub radius and the link predicate only admits neighbors
-	// that reach back over the hub — so the validation pass is skipped; a
-	// degenerate result is still caught by the invariant check below.
-	sc.sl = sc.sky.ComputeIntoUnchecked(sc.sl, sc.disks)
-	if ierr := checkInvariants(sc.sl, len(sc.disks)); ierr != nil {
+	st.sl = sc.sky.ComputeIntoUnchecked(st.sl, st.disks)
+	if ierr := checkInvariants(st.sl, len(st.disks)); ierr != nil {
 		//mldcslint:allow hotpathalloc degeneracy fallback, cold by construction (invariant violations are counted and rare)
 		e.fallbackNode(u, ierr)
 		if nodeSpan.Sampled() {
@@ -484,23 +479,21 @@ func (e *Engine) computeNode(u int, sc *scratch) {
 		}
 		return
 	}
-	if !e.cfg.DisableRepair {
-		// Seed the kinetic state for Update's repair path: the neighbor IDs
-		// in tuple (canonical) order, parallel to disks[1:], plus the
-		// freshly verified skyline. append-into keeps the steady path free
-		// of allocations once the per-node buffers are warm.
-		st := &e.kin[u]
-		st.ids = st.ids[:0]
-		for i := range sc.tuples {
-			st.ids = append(st.ids, sc.tuples[i].id)
-		}
-		st.disks = append(st.disks[:0], sc.disks...)
-		st.sl = append(st.sl[:0], sc.sl...)
-		st.valid = true
+	st.valid = !e.cfg.DisableRepair
+	e.writeForwarding(u, st, sc)
+	if nodeSpan.Sampled() {
+		//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
+		nodeSpan.End(map[string]any{"node": u, "neighbors": len(sc.ids), "cover": len(sc.fwdBuf)})
 	}
-	// The cover's disk indices map to node IDs through the tuples (index 0
-	// is the hub), as updateNode maps them through the kinetic state's ids.
-	sc.cover = sc.sl.AppendSet(sc.cover)
+}
+
+// writeForwarding sets node u's forwarding set and hub flag from its
+// kinetic state's skyline: cover index 0 is the hub, index i ≥ 1 is
+// neighbor st.ids[i-1].
+//
+//mldcs:hotpath
+func (e *Engine) writeForwarding(u int, st *kinState, sc *scratch) {
+	sc.cover = st.sl.AppendSet(sc.cover)
 	hubIn := false
 	sc.fwdBuf = sc.fwdBuf[:0]
 	for _, i := range sc.cover {
@@ -508,16 +501,13 @@ func (e *Engine) computeNode(u int, sc *scratch) {
 			hubIn = true
 			continue
 		}
-		sc.fwdBuf = append(sc.fwdBuf, sc.tuples[i-1].id)
+		sc.fwdBuf = append(sc.fwdBuf, st.ids[i-1])
 	}
 	sort.Ints(sc.fwdBuf)
 	sc.fwdBuf = mutateForwarding(sc.fwdBuf, u)
+	pg, slot := e.out.at(u)
 	pg.fwd[slot] = keepInts(pg.fwd[slot], sc.fwdBuf)
 	pg.hubIn[slot] = hubIn
-	if nodeSpan.Sampled() {
-		//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
-		nodeSpan.End(map[string]any{"node": u, "neighbors": len(sc.ids), "cover": len(sc.fwdBuf)})
-	}
 }
 
 // keepInts returns old unchanged when it already holds exactly the values
@@ -543,71 +533,6 @@ func keepInts(old, cur []int) []int {
 	out := make([]int, len(cur))
 	copy(out, cur)
 	return out
-}
-
-// sortTuples orders the worker's tuple buffer by tupleLess with a
-// bottom-up stable merge sort through sc.tupleTmp (stable, so equal keys
-// keep the ascending-slot gather order); sort.SliceStable would allocate
-// its reflect-based swapper on every call, which is the kind of per-node
-// garbage this loop must not produce.
-//
-//mldcs:hotpath
-func sortTuples(sc *scratch) {
-	n := len(sc.tuples)
-	if n < 2 {
-		return
-	}
-	if cap(sc.tupleTmp) < n {
-		//mldcslint:allow hotpathalloc merge-buffer growth, amortized to zero once the scratch is warm
-		sc.tupleTmp = make([]nbTuple, n)
-	}
-	src, dst := sc.tuples[:n], sc.tupleTmp[:n]
-	inTuples := true
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := min(lo+width, n)
-			hi := min(lo+2*width, n)
-			mergeTuples(dst[lo:hi], src[lo:mid], src[mid:hi])
-		}
-		src, dst = dst, src
-		inTuples = !inTuples
-	}
-	if !inTuples {
-		copy(sc.tuples, src)
-	}
-}
-
-// mergeTuples merges the sorted runs a and b into dst, taking from a on
-// ties (stability). len(dst) == len(a)+len(b).
-func mergeTuples(dst, a, b []nbTuple) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if tupleLess(&b[j], &a[i]) {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
-}
-
-// tupleLess is the canonical neighbor order: ascending raw radius bits,
-// then center x bits, then center y bits, then key.
-func tupleLess(a, b *nbTuple) bool {
-	if a.rb != b.rb {
-		return a.rb < b.rb
-	}
-	if a.xb != b.xb {
-		return a.xb < b.xb
-	}
-	if a.yb != b.yb {
-		return a.yb < b.yb
-	}
-	return a.key < b.key
 }
 
 // fallbackNode installs the degeneracy-safe answer for node u after its

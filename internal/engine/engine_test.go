@@ -60,10 +60,11 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEngineRelabelInvariance: the canonical neighbor order sorts by
-// coordinate bits, not by ID, so recomputing a relabeled copy of the same
-// network through a persistent engine yields exactly the permuted
-// forwarding sets and hub flags.
+// TestEngineRelabelInvariance: relabeling reorders every local set, which
+// by Theorem 3 leaves each cover unchanged away from ties within
+// geom.RhoEps (a random deployment has none), so recomputing a relabeled
+// copy of the same network through a persistent engine yields exactly the
+// permuted forwarding sets and hub flags.
 func TestEngineRelabelInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	nodes, err := deploy.Generate(deploy.PaperConfig(deploy.Heterogeneous, 8), rng)

@@ -13,7 +13,7 @@ import (
 // nodesFromBytes deterministically decodes a byte string into a valid node
 // set: each 6-byte chunk becomes one node on an 8×8 region with radius in
 // [1, 2]. Repeated chunks produce exactly co-located nodes, so the fuzzer
-// reaches the canonical duplicate ordering and the skyline's degenerate
+// reaches the key order among duplicates and the skyline's degenerate
 // tie-breaks.
 func nodesFromBytes(data []byte) []network.Node {
 	var nodes []network.Node
@@ -39,7 +39,7 @@ func nodesFromBytes(data []byte) []network.Node {
 // worker counts and cross-checks every output against the sequential
 // per-node pipeline (network.Build + Graph.LocalSet + mldcs.Solve). Any
 // divergence — neighborhoods, forwarding sets, or hub flags — is a bug in
-// the sharding or the canonicalization.
+// the sharding or the neighbor ordering.
 func FuzzEngineVsSequential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6})

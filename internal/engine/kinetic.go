@@ -9,13 +9,13 @@ import (
 )
 
 // This file is the engine half of kinetic repair (the skyline half lives in
-// internal/skyline/kinetic.go). Update used to recompute every dirty node's
-// skyline from scratch; under continuous mobility most dirty nodes did not
-// move themselves — a neighbor slid a little — so their cached skyline is
-// one or two arc surgeries away from correct. updateNode diffs the node's
-// current neighborhood against the kinetic state computeNode saved
-// (gained / lost / moved neighbors) and patches the cached skyline with
-// InsertDiskInto / RemoveDiskInto / MoveDiskInto instead of rebuilding it.
+// internal/skyline/kinetic.go). Under continuous mobility most dirty nodes
+// did not move themselves — a neighbor slid a little — so the skyline in
+// their kinetic state is one or two arc surgeries away from correct.
+// updateNode diffs the node's current neighborhood against the local set
+// computeNode last built (gained / lost / moved neighbors) and patches
+// that skyline with InsertDiskInto / RemoveDiskInto / MoveDiskInto instead
+// of rebuilding it.
 //
 // The repair is guarded three ways, and every guard falls back to the
 // always-correct full recompute: (1) nodes that moved themselves, have no
@@ -24,10 +24,10 @@ import (
 // an envelope tie within geom.RhoEps, a dropped sliver, a hub-tangent disk
 // — sets the tie flag and abandons the repair, because the repaired
 // skyline could legitimately pick a different (equally maximal)
-// representative than a fresh compute, and the engine's contract is
-// element-identical forwarding sets; (3) the repaired skyline must pass
-// the same runtime invariant check a fresh one does. Fallbacks are counted
-// in Stats.RepairFallbacks.
+// representative than a fresh compute in key order, and the engine's
+// contract is element-identical forwarding sets; (3) the repaired skyline
+// must pass the same runtime invariant check a fresh one does. Fallbacks
+// are counted in Stats.RepairFallbacks.
 
 // repairMaxDiffFactor gates the repair: surgery runs only when
 // changes * repairMaxDiffFactor ≤ |cached disks|. Each surgery touches the
@@ -43,7 +43,7 @@ const repairMaxDiffFactor = 3
 //mldcs:hotpath
 func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 	st := &e.kin[u]
-	if e.cfg.DisableRepair || !st.valid || movedMark[u] {
+	if !st.valid || movedMark[u] {
 		e.recomputeNode(u, sc)
 		return
 	}
@@ -56,10 +56,10 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 	// radii), the visit-from-new-position loop covers joiners. The direct
 	// predicate below is the grid gather's, bit for bit: VisitWithin
 	// filters its cell window with the same geom.LinkWithin2 call before
-	// the Reaches check.
+	// the Reaches check. oldIDs, the neighbor list the last pass published,
+	// is sorted and holds exactly st.ids's nodes while st is valid.
 	hub := *e.out.node(u)
-	sc.oldIDs = append(sc.oldIDs[:0], st.ids...)
-	sort.Ints(sc.oldIDs)
+	oldIDs := e.out.nbrs(u)
 	sc.cands = append(sc.cands[:0], e.updCand[u]...)
 	sort.Ints(sc.cands)
 	sc.lost, sc.gained, sc.movedNb = sc.lost[:0], sc.gained[:0], sc.movedNb[:0]
@@ -73,8 +73,8 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 		linked := nc.Radius > 0 && // a slot that left links to nobody
 			geom.LinkWithin2(nc.Pos.Dist2(hub.Pos), hub.Radius) &&
 			geom.Reaches(nc.Pos, hub.Pos, nc.Radius)
-		i := sort.SearchInts(sc.oldIDs, c)
-		was := i < len(sc.oldIDs) && sc.oldIDs[i] == c
+		i := sort.SearchInts(oldIDs, c)
+		was := i < len(oldIDs) && oldIDs[i] == c
 		switch {
 		case linked && was:
 			sc.movedNb = append(sc.movedNb, c)
@@ -89,7 +89,7 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 	// identical to what the grid gather plus sort produced.
 	sc.ids = sc.ids[:0]
 	gi, li := 0, 0
-	for _, v := range sc.oldIDs {
+	for _, v := range oldIDs {
 		if li < len(sc.lost) && sc.lost[li] == v {
 			li++
 			continue
@@ -188,24 +188,9 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 		return
 	}
 
-	// Publish: same output shape as computeNode, with cover positions
-	// mapped through st.ids instead of the canonical tuples.
 	pg, slot := e.out.at(u)
 	pg.nbrs[slot] = keepInts(pg.nbrs[slot], sc.ids)
-	sc.cover = st.sl.AppendSet(sc.cover)
-	hubIn := false
-	sc.fwdBuf = sc.fwdBuf[:0]
-	for _, i := range sc.cover {
-		if i == 0 {
-			hubIn = true
-			continue
-		}
-		sc.fwdBuf = append(sc.fwdBuf, st.ids[i-1])
-	}
-	sort.Ints(sc.fwdBuf)
-	sc.fwdBuf = mutateForwarding(sc.fwdBuf, u)
-	pg.fwd[slot] = keepInts(pg.fwd[slot], sc.fwdBuf)
-	pg.hubIn[slot] = hubIn
+	e.writeForwarding(u, st, sc)
 	e.repaired.Add(1)
 	if m != nil {
 		m.repairSeconds.Observe(time.Since(t0))
@@ -217,7 +202,7 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 }
 
 // recomputeNode is updateNode's slow path: the ordinary full per-node
-// compute (which re-seeds the kinetic state as a side effect), counted.
+// compute, which rebuilds the kinetic state, counted.
 //
 //mldcs:hotpath
 func (e *Engine) recomputeNode(u int, sc *scratch) {

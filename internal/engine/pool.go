@@ -123,8 +123,8 @@ func (e *Engine) buildBatches(list []int) {
 }
 
 // sortBatchEnts orders e.batchEnts by (cell key, node id) with a bottom-up
-// merge sort through e.batchTmp — same zero-allocation scheme as
-// sortTuples. The node-id tiebreak makes the batch layout deterministic.
+// merge sort through e.batchTmp, allocation-free once the buffer is warm.
+// The node-id tiebreak makes the batch layout deterministic.
 func sortBatchEnts(e *Engine) {
 	n := len(e.batchEnts)
 	if n < 2 {

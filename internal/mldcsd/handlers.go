@@ -140,8 +140,9 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	// The engine result keeps forwarding sets, not arc lists, so the
 	// skyline is re-derived from the snapshot's local set. Read-only on
 	// snapshot data: allocation per request, zero contention. Neighbors go
-	// in external-ID order, as the oracle numbers them, so an exact
-	// duplicate disk's arcs name the same owner the forwarding set does.
+	// in external-ID order, as the oracle and the engine order them, so the
+	// arcs of disks that tie within geom.RhoEps name the same owner the
+	// forwarding set does.
 	var ls mldcs.LocalSet
 	ls.Hub = sn.Res.Node(slot).Disk()
 	nbrs := slices.Clone(sn.Res.Neighbors(slot))

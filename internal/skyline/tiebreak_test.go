@@ -32,7 +32,8 @@ func TestRhoTieBreakWithinRhoEps(t *testing.T) {
 
 // TestRhoTieBreakLowerIndexOnEqualRadius: exact duplicates tie on radius
 // too, so the lower index wins — the determinism every algorithm in this
-// package (and the engine's canonical cache ordering) relies on.
+// package relies on, and the reason the engine hands the skyline each
+// local set in the reference's key order.
 func TestRhoTieBreakLowerIndexOnEqualRadius(t *testing.T) {
 	d := geom.Disk{C: geom.Pt(0.3, 0.1), R: 1.5}
 	for _, theta := range []float64{0, 1, 2.5, 4, 6} {
