@@ -137,6 +137,7 @@ fuzz:
 	go test -fuzz=FuzzCrossingAngles -fuzztime=60s ./internal/skyline/
 	go test -fuzz=FuzzSelectorInvariants -fuzztime=60s ./internal/forwarding/
 	go test -fuzz=FuzzEngineVsSequential -fuzztime=60s ./internal/engine/
+	go test -fuzz=FuzzDeltaDecode -fuzztime=60s ./internal/mldcsd/
 
 # Short fuzz pass over every target — the CI smoke step.
 fuzz-smoke:
@@ -146,6 +147,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzCrossingAngles -fuzztime=10s ./internal/skyline/
 	go test -run='^$$' -fuzz=FuzzSelectorInvariants -fuzztime=10s ./internal/forwarding/
 	go test -run='^$$' -fuzz=FuzzEngineVsSequential -fuzztime=10s ./internal/engine/
+	go test -run='^$$' -fuzz=FuzzDeltaDecode -fuzztime=10s ./internal/mldcsd/
 
 # Chaos e2e harness for the mldcsd service: seeded action streams against
 # a live server, drained and checked byte-for-byte against the sequential

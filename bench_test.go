@@ -1,8 +1,10 @@
 package mldcs
 
 // The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation plus the scaling experiment of Chapter 4 and the ablations
-// from DESIGN.md. Run everything with
+// evaluation plus the scaling experiment of Chapter 4 (docs/DESIGN.md,
+// per-experiment index). The skyline constructions' comparison and the A2
+// ablation live with the skyline package (internal/skyline/bench_test.go).
+// Run everything with
 //
 //	go test -bench=. -benchmem
 //
@@ -99,80 +101,6 @@ func BenchmarkSkylineScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkSkylineAlgorithms compares the three skyline constructions at a
-// fixed size (the naive oracle's O(n² log n) shows immediately).
-func BenchmarkSkylineAlgorithms(b *testing.B) {
-	const n = 512
-	disks := randomLocalDisks(rand.New(rand.NewSource(2)), n)
-	algs := []struct {
-		name string
-		fn   func([]geom.Disk) (skyline.Skyline, error)
-	}{
-		{"dnc", skyline.Compute},
-		{"incremental", skyline.ComputeIncremental},
-		{"naive", skyline.ComputeNaive},
-	}
-	for _, alg := range algs {
-		b.Run(alg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := alg.fn(disks); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCombine is ablation A1: the Merge re-combination step
-// (§3.4 Step 3) on versus off.
-func BenchmarkAblationCombine(b *testing.B) {
-	const n = 2048
-	disks := randomLocalDisks(rand.New(rand.NewSource(3)), n)
-	b.Run("with-combine", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := skyline.Compute(disks); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("no-combine", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := skyline.ComputeNoCombine(disks); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationOrder is ablation A2: incremental insertion in the
-// decreasing-radius order used by Lemma 8's proof versus a random order.
-func BenchmarkAblationOrder(b *testing.B) {
-	const n = 512
-	rng := rand.New(rand.NewSource(4))
-	disks := randomLocalDisks(rng, n)
-	decreasing := skyline.DecreasingRadiusOrder(disks)
-	random := rng.Perm(n)
-	b.Run("decreasing-radius", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := skyline.ComputeIncrementalOrder(disks, decreasing); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("random-order", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := skyline.ComputeIncrementalOrder(disks, random); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func benchNetwork(b *testing.B, model deploy.RadiusModel, degree float64) *network.Graph {
 	b.Helper()
 	nodes, err := deploy.Generate(deploy.PaperConfig(model, degree), rand.New(rand.NewSource(5)))
@@ -258,7 +186,7 @@ func BenchmarkRepair(b *testing.B) {
 }
 
 // BenchmarkProtocols measures one whole-network broadcast per iteration
-// for every protocol in the comparison suite (X4 in DESIGN.md).
+// for every protocol in the comparison suite (X4 in docs/DESIGN.md).
 func BenchmarkProtocols(b *testing.B) {
 	g := benchNetwork(b, deploy.Heterogeneous, 10)
 	cases := []struct {
@@ -316,34 +244,6 @@ func BenchmarkExactArea(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkInsertDisk measures dynamic skyline maintenance: adding one
-// disk to an existing skyline versus recomputing from scratch.
-func BenchmarkInsertDisk(b *testing.B) {
-	const n = 1024
-	rng := rand.New(rand.NewSource(10))
-	disks := randomLocalDisks(rng, n+1)
-	base, err := skyline.Compute(disks[:n])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("insert", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := skyline.InsertDisk(disks, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("recompute", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := skyline.Compute(disks); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSkylineQueries measures the O(log n) post-construction queries.

@@ -1,7 +1,7 @@
 // Package invariantcheck protects the skyline degeneracy fallback path.
 //
-// Every exported skyline entry point (Compute, ComputeIncremental,
-// InsertDisk, ...) returns an error precisely because
+// Every skyline construction that validates its disks (Compute,
+// ComputeNaive, Scratch.ComputeInto) returns an error precisely because
 // degenerate inputs — coincident hubs, zero radii, near-tangent disks —
 // can defeat the divide-and-conquer merge; the whole-network engine
 // re-validates every envelope (Skyline.CheckInvariants) and falls back to
@@ -34,8 +34,8 @@ const Name = "invariantcheck"
 var Analyzer = &analysis.Analyzer{
 	Name: Name,
 	Doc: "flag discarded errors from repro/internal/skyline entry points\n" +
-		"(Compute*, InsertDisk, CheckInvariants, Validate); the engine's degeneracy\n" +
-		"fallback depends on them being checked",
+		"(Compute, ComputeNaive, ComputeInto, CheckInvariants, Validate); the\n" +
+		"engine's degeneracy fallback depends on them being checked",
 	Run: run,
 }
 

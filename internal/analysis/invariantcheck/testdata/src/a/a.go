@@ -11,11 +11,6 @@ func drops(disks []float64) skyline.Skyline {
 	return s
 }
 
-func dropsParallel(disks []float64) skyline.Skyline {
-	s, _ := skyline.ComputeParallel(disks, 4) // want `error from skyline\.ComputeParallel discarded`
-	return s
-}
-
 func handled(disks []float64) (skyline.Skyline, error) {
 	s, err := skyline.Compute(disks)
 	if err != nil {

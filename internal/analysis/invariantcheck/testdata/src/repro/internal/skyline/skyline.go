@@ -14,10 +14,6 @@ func Compute(disks []float64) (Skyline, error) {
 	return Skyline{0}, nil
 }
 
-func ComputeParallel(disks []float64, workers int) (Skyline, error) {
-	return Compute(disks)
-}
-
 func (s Skyline) CheckInvariants(n int) error { return nil }
 
 func (s Skyline) Validate(n int) error { return nil }

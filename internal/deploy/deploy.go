@@ -107,7 +107,7 @@ func (c Config) ExpectedMinRadiusSq() float64 {
 // NodeCount returns the number of nodes to deploy so that the expected
 // bidirectional degree of an interior node is MeanDegree. This generalizes
 // the paper's N = (side²/(πr²))·n̄ formula — which assumes a single radius
-// r — to heterogeneous radii via ExpectedMinRadiusSq; see DESIGN.md's
+// r — to heterogeneous radii via ExpectedMinRadiusSq; see docs/DESIGN.md's
 // substitution notes.
 func (c Config) NodeCount() int {
 	n := c.Side * c.Side * c.MeanDegree / (math.Pi * c.ExpectedMinRadiusSq())

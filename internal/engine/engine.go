@@ -390,7 +390,6 @@ type scratch struct {
 	ids    []int           // gathered neighbor IDs, ascending
 	byKey  []nbTuple       // the neighbors in key order
 	sky    skyline.Scratch // skyline working memory (ComputeInto)
-	cover  []int           // reusable skyline set
 	fwdBuf []int           // reusable mapped forwarding IDs
 	// nodes books this worker's share of the current pass (pool.go).
 	nodes int
@@ -488,22 +487,23 @@ func (e *Engine) computeNode(u int, sc *scratch) {
 }
 
 // writeForwarding sets node u's forwarding set and hub flag from its
-// kinetic state's skyline: cover index 0 is the hub, index i ≥ 1 is
-// neighbor st.ids[i-1].
+// kinetic state's skyline: disk 0 is the hub, disk d ≥ 1 is neighbor
+// st.ids[d-1]. A disk may own several arcs, so the mapped IDs are sorted
+// once and deduplicated.
 //
 //mldcs:hotpath
 func (e *Engine) writeForwarding(u int, st *kinState, sc *scratch) {
-	sc.cover = st.sl.AppendSet(sc.cover)
 	hubIn := false
 	sc.fwdBuf = sc.fwdBuf[:0]
-	for _, i := range sc.cover {
-		if i == 0 {
+	for _, a := range st.sl {
+		if a.Disk == 0 {
 			hubIn = true
 			continue
 		}
-		sc.fwdBuf = append(sc.fwdBuf, st.ids[i-1])
+		sc.fwdBuf = append(sc.fwdBuf, st.ids[a.Disk-1])
 	}
-	sort.Ints(sc.fwdBuf)
+	slices.Sort(sc.fwdBuf)
+	sc.fwdBuf = slices.Compact(sc.fwdBuf)
 	sc.fwdBuf = mutateForwarding(sc.fwdBuf, u)
 	pg, slot := e.out.at(u)
 	pg.fwd[slot] = keepInts(pg.fwd[slot], sc.fwdBuf)

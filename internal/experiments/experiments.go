@@ -1,8 +1,8 @@
 // Package experiments reproduces the paper's evaluation (§5.1): every
 // figure is a driver that generates the paper's workloads, runs the
 // forwarding-set algorithms, and emits the same series the paper plots.
-// DESIGN.md's per-experiment index maps figures to drivers; EXPERIMENTS.md
-// records paper-vs-measured results.
+// docs/DESIGN.md's per-experiment index maps figures to drivers;
+// EXPERIMENTS.md records paper-vs-measured results.
 package experiments
 
 import (

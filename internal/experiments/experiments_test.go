@@ -183,7 +183,7 @@ func TestFig56GraphShape(t *testing.T) {
 }
 
 func TestScalingSmall(t *testing.T) {
-	f, err := Scaling(Config{Replications: 3, Seed: 15}, []int{32, 64}, 64)
+	f, err := Scaling(Config{Replications: 3, Seed: 15}, []int{32, 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,14 +139,14 @@ func TestMetamorphicDegenerateLocalSets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := IsCoverSampled(c.ls, r.Cover, 2048)
+			ok, err := isCoverSampled(c.ls, r.Cover, 2048)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				t.Fatalf("cover %v does not cover the union", r.Cover)
 			}
-			brute, err := BruteForceCover(c.ls, 512)
+			brute, err := bruteForceCover(c.ls, 512)
 			if err != nil {
 				t.Fatal(err)
 			}

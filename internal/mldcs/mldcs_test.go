@@ -95,7 +95,7 @@ func TestTheorem3AgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bf, err := BruteForceCover(ls, 2048)
+		bf, err := bruteForceCover(ls, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestCoverIsMinimalCover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, err := IsCoverSampled(ls, r.Cover, 2048)
+		ok, err := isCoverSampled(ls, r.Cover, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestCoverIsMinimalCover(t *testing.T) {
 			if len(reduced) == 0 {
 				continue
 			}
-			ok, err := IsCoverSampled(ls, reduced, 2048)
+			ok, err := isCoverSampled(ls, reduced, 2048)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,18 +164,18 @@ func TestIsCoverExact(t *testing.T) {
 		for i := range full {
 			full[i] = i
 		}
-		if ok, _ := IsCover(ls, full); !ok {
+		if ok, _ := isCover(ls, full); !ok {
 			t.Fatal("the full set must be a cover")
 		}
-		if ok, _ := IsCover(ls, r.Cover); !ok {
+		if ok, _ := isCover(ls, r.Cover); !ok {
 			t.Fatal("the MLDCS must be a cover")
 		}
 		if len(r.Cover) > 1 {
-			if ok, _ := IsCover(ls, r.Cover[1:]); ok {
+			if ok, _ := isCover(ls, r.Cover[1:]); ok {
 				t.Fatal("a proper subset of the MLDCS must not be a cover")
 			}
 		}
-		if ok, _ := IsCover(ls, nil); ok {
+		if ok, _ := isCover(ls, nil); ok {
 			t.Fatal("the empty set is not a cover")
 		}
 	}
@@ -184,10 +184,10 @@ func TestIsCoverExact(t *testing.T) {
 func TestIsCoverRejectsBadIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	ls := randomLocalSet(rng, 3, true)
-	if _, err := IsCover(ls, []int{99}); err == nil {
+	if _, err := isCover(ls, []int{99}); err == nil {
 		t.Error("out-of-range index must error")
 	}
-	if _, err := IsCoverSampled(ls, []int{-1}, 64); err == nil {
+	if _, err := isCoverSampled(ls, []int{-1}, 64); err == nil {
 		t.Error("negative index must error")
 	}
 }
@@ -230,7 +230,7 @@ func TestSolveRejectsInvalid(t *testing.T) {
 	if _, err := Solve(ls); err == nil {
 		t.Error("invalid local set must fail")
 	}
-	if _, err := BruteForceCover(ls, 64); err == nil {
+	if _, err := bruteForceCover(ls, 64); err == nil {
 		t.Error("brute force on invalid local set must fail")
 	}
 }
@@ -238,7 +238,7 @@ func TestSolveRejectsInvalid(t *testing.T) {
 func TestBruteForceSizeGuard(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ls := randomLocalSet(rng, 25, true)
-	if _, err := BruteForceCover(ls, 64); err == nil {
+	if _, err := bruteForceCover(ls, 64); err == nil {
 		t.Error("brute force must refuse oversized inputs")
 	}
 }

@@ -49,7 +49,7 @@ func TestQuickSolveStructure(t *testing.T) {
 	}
 }
 
-// Property: IsCover is monotone — any superset of a cover is a cover, and
+// Property: isCover is monotone — any superset of a cover is a cover, and
 // any subset missing a cover element is not.
 func TestQuickIsCoverMonotone(t *testing.T) {
 	f := func(in quickLocal) bool {
@@ -63,7 +63,7 @@ func TestQuickIsCoverMonotone(t *testing.T) {
 		for i := range full {
 			full[i] = i
 		}
-		okFull, err := IsCover(ls, full)
+		okFull, err := isCover(ls, full)
 		if err != nil || !okFull {
 			return false
 		}
@@ -75,7 +75,7 @@ func TestQuickIsCoverMonotone(t *testing.T) {
 					without = append(without, i)
 				}
 			}
-			ok, err := IsCover(ls, without)
+			ok, err := isCover(ls, without)
 			if err != nil || ok {
 				return false
 			}

@@ -100,8 +100,7 @@ func TestComputeAmortizedAllocs(t *testing.T) {
 // The kinetic Into variants — the engine's per-event repair primitives —
 // must be allocation-free once the Scratch and destination are warm. This
 // is the contract that lets Update repair thousands of neighborhoods per
-// tick without producing garbage; InsertDisk (the allocating public
-// wrapper) pays for its result, InsertDiskInto must not.
+// tick without producing garbage.
 func TestKineticIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(605))
 	var sc Scratch

@@ -9,18 +9,19 @@
 // boundary exactly once (Corollary 2). The skyline is therefore the upper
 // envelope of the per-disk ray-distance functions ρ_i(θ) over θ ∈ [0, 2π).
 //
-// The package provides three interchangeable algorithms:
-//
-//   - Compute: the paper's divide-and-conquer algorithm, O(n log n).
-//   - ComputeIncremental: repeated single-disk merges in decreasing radius
-//     order, the insertion scheme behind Lemma 8; O(n²) worst case.
-//   - ComputeNaive: a global-breakpoint O(n² log n) reference oracle.
-//
-// All three produce the same envelope; the test suite cross-checks them.
+// Compute is the paper's construction: divide-and-conquer with the
+// three-step Merge, O(n log n) by Lemma 8 and Theorem 9. Scratch holds its
+// allocation-free form and the kinetic operations (InsertDiskInto,
+// RemoveDiskInto, MoveDiskInto) that repair a skyline for one changed disk.
+// ComputeNaive, a global-breakpoint O(n² log n) construction, stays
+// exported as the reference oracle that other packages' differential tests
+// compare whole networks against; the incremental (decreasing-radius)
+// construction behind Lemma 8's proof lives in this package's tests.
 package skyline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -97,32 +98,12 @@ func (s Skyline) DiskAt(theta float64) int { return s[s.At(theta)].Disk }
 // contribute at least one arc. By Theorem 3 this is the minimum local disk
 // cover set of the input.
 func (s Skyline) Set() []int {
-	return s.AppendSet(nil)
-}
-
-// AppendSet appends the skyline set (see Set) to dst[:0] and returns it,
-// letting hot-path callers reuse a buffer instead of allocating. A skyline
-// lists each contributing disk in at most a handful of runs, so collecting
-// the run heads and sort+dedup-ing them stays cheap and allocation-free
-// (sort.Ints on an int slice does not allocate).
-func (s Skyline) AppendSet(dst []int) []int {
-	out := dst[:0]
-	for i, a := range s {
-		if i > 0 && s[i-1].Disk == a.Disk {
-			continue
-		}
+	out := make([]int, 0, len(s))
+	for _, a := range s {
 		out = append(out, a.Disk)
 	}
-	sort.Ints(out)
-	w := 0
-	for i, d := range out {
-		if i > 0 && out[w-1] == d {
-			continue
-		}
-		out[w] = d
-		w++
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ArcCount returns the number of arcs counting an arc split at the positive
@@ -137,7 +118,7 @@ func (s Skyline) ArcCount() int {
 	return n
 }
 
-// Combine coalesces adjacent arcs contributed by the same disk (Step 3 of
+// Combine joins adjacent arcs contributed by the same disk (Step 3 of
 // the paper's Merge) and drops arcs with span below geom.AngleEps, which
 // arise as alignment slivers. The receiver is not modified.
 func (s Skyline) Combine() Skyline {

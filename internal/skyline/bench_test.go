@@ -74,6 +74,86 @@ func BenchmarkComputeInto(b *testing.B) {
 	}
 }
 
+// BenchmarkSkylineAlgorithms compares the three skyline constructions at a
+// fixed size: the divide-and-conquer, the incremental construction and the
+// naive oracle, whose O(n² log n) shows immediately.
+func BenchmarkSkylineAlgorithms(b *testing.B) {
+	const n = 512
+	disks := randomLocalSet(rand.New(rand.NewSource(2)), n)
+	algs := []struct {
+		name string
+		fn   func([]geom.Disk) (Skyline, error)
+	}{
+		{"dnc", Compute},
+		{"incremental", computeIncremental},
+		{"naive", ComputeNaive},
+	}
+	for _, alg := range algs {
+		b.Run(alg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := alg.fn(disks); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAblationOrder is ablation A2: incremental insertion in the
+// decreasing-radius order used by Lemma 8's proof versus a random order.
+func BenchmarkAblationOrder(b *testing.B) {
+	const n = 512
+	rng := rand.New(rand.NewSource(4))
+	disks := randomLocalSet(rng, n)
+	decreasing := decreasingRadiusOrder(disks)
+	random := rng.Perm(n)
+	for _, o := range []struct {
+		name  string
+		order []int
+	}{{"decreasing-radius", decreasing}, {"random-order", random}} {
+		b.Run(o.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := computeIncrementalOrder(disks, o.order); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInsertDisk measures dynamic skyline maintenance as the engine
+// runs it, on a warm Scratch: InsertDiskInto adds one disk to an existing
+// skyline, ComputeInto recomputes the same set from scratch.
+func BenchmarkInsertDisk(b *testing.B) {
+	const n = 1024
+	disks := randomLocalSet(rand.New(rand.NewSource(10)), n+1)
+	base, err := Compute(disks[:n])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("insert", func(b *testing.B) {
+		var sc Scratch
+		var dst Skyline
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = sc.InsertDiskInto(dst, disks, base, n, nil)
+		}
+	})
+	b.Run("recompute", func(b *testing.B) {
+		var sc Scratch
+		var dst Skyline
+		var err error
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if dst, err = sc.ComputeInto(dst, disks); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // skylineBenchEntry is one input-size row in BENCH_skyline.json.
 type skylineBenchEntry struct {
 	N                   int     `json:"n"`

@@ -29,32 +29,6 @@ func Compute(disks []geom.Disk) (Skyline, error) {
 	return out, nil
 }
 
-// ComputeNoCombine is Compute with Step 3 of Merge (re-combining adjacent
-// arcs from the same disk) disabled at every level of the recursion. The
-// result describes the same envelope but may carry redundantly split arcs.
-// It exists solely for the A1 ablation in DESIGN.md: the paper notes that
-// Step 3 "could reduce the overhead in splitting skyline lists", and this
-// variant quantifies that claim. Production callers should use Compute.
-func ComputeNoCombine(disks []geom.Disk) (Skyline, error) {
-	if err := checkLocal(disks); err != nil {
-		return nil, err
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	var rec func(lo, hi int) Skyline
-	rec = func(lo, hi int) Skyline {
-		if hi-lo == 1 {
-			return single(lo)
-		}
-		mid := lo + (hi-lo)/2
-		// Children complete before the parent merge starts, so the shared
-		// scratch's breakpoint buffer is free; each node's output is a
-		// fresh slice because both children stay live during the merge.
-		return mergeInto(nil, sc, disks, rec(lo, mid), rec(mid, hi), false, nil, nil)
-	}
-	return rec(0, len(disks)), nil
-}
-
 // Merge combines two skylines over the same disk slice into the skyline of
 // the union of their disk sets. It follows the paper's three steps:
 //
@@ -73,7 +47,7 @@ func ComputeNoCombine(disks []geom.Disk) (Skyline, error) {
 // Both inputs must be valid skylines (contiguous over [0, 2π)).
 func Merge(disks []geom.Disk, s1, s2 Skyline) Skyline {
 	sc := getScratch()
-	out := mergeInto(sc.out[:0], sc, disks, s1, s2, true, skyInstr.Load(), nil)
+	out := mergeInto(sc.out[:0], sc, disks, s1, s2, skyInstr.Load(), nil)
 	sc.out = out
 	owned := make(Skyline, len(out))
 	copy(owned, out)
@@ -83,12 +57,11 @@ func Merge(disks []geom.Disk, s1, s2 Skyline) Skyline {
 
 // mergeInto merges s1 and s2 into dst[:0] and returns it. dst must not
 // alias s1, s2, or sc's internal buffers; sc supplies the breakpoint
-// scratch. With coalesce false, Step 3 is skipped (the A1 ablation, never
-// instrumented). A non-nil tie receives the kinetic-repair tie report
-// (see resolveSpan); the full compute path passes nil.
+// scratch. A non-nil tie receives the kinetic-repair tie report (see
+// resolveSpan); the full compute path passes nil.
 //
 //mldcs:hotpath
-func mergeInto(dst Skyline, sc *Scratch, disks []geom.Disk, s1, s2 Skyline, coalesce bool, ins *skyMetrics, tie *bool) Skyline {
+func mergeInto(dst Skyline, sc *Scratch, disks []geom.Disk, s1, s2 Skyline, ins *skyMetrics, tie *bool) Skyline {
 	// Step 1: merged breakpoint sequence. Both inputs carry their arcs in
 	// increasing angle order, so one two-pointer pass yields the sorted
 	// union of their start angles, deduplicated within geom.AngleEps
@@ -147,7 +120,7 @@ func mergeInto(dst Skyline, sc *Scratch, disks []geom.Disk, s1, s2 Skyline, coal
 		for i2 < len(s2)-1 && s2[i2].End <= m {
 			i2++
 		}
-		out = resolveSpan(disks, out, a, b, s1[i1].Disk, s2[i2].Disk, coalesce, ins, tie)
+		out = resolveSpan(disks, out, a, b, s1[i1].Disk, s2[i2].Disk, ins, tie)
 	}
 	if len(out) == 0 {
 		// Degenerate: all spans were slivers. Fall back to whichever disk
@@ -158,10 +131,7 @@ func mergeInto(dst Skyline, sc *Scratch, disks []geom.Disk, s1, s2 Skyline, coal
 	out[0].Start = 0
 	out[len(out)-1].End = geom.TwoPi
 
-	if !coalesce {
-		return out
-	}
-	// Step 3: coalesce same-disk neighbors and drop slivers, in place.
+	// Step 3: combine same-disk neighbors and drop slivers, in place.
 	return combineInPlace(out)
 }
 
@@ -214,12 +184,12 @@ func combineInPlace(s Skyline) Skyline {
 // representative than a from-scratch compute would, so the caller must
 // fall back to a full recompute to stay bit-compatible with it. The full
 // compute path passes nil and pays nothing.
-func resolveSpan(disks []geom.Disk, out Skyline, a, b float64, u, v int, coalesce bool, ins *skyMetrics, tie *bool) Skyline {
+func resolveSpan(disks []geom.Disk, out Skyline, a, b float64, u, v int, ins *skyMetrics, tie *bool) Skyline {
 	if u == v {
 		if ins != nil {
 			ins.case0.Inc()
 		}
-		return appendArc(out, a, b, u, coalesce)
+		return appendArc(out, a, b, u)
 	}
 	if tie != nil && (hubTangent(disks[u]) || hubTangent(disks[v])) {
 		*tie = true
@@ -270,15 +240,15 @@ func resolveSpan(disks []geom.Disk, out Skyline, a, b float64, u, v int, coalesc
 			}
 			continue
 		}
-		out = appendArc(out, lo, hi, winnerFlag(disks, u, v, (lo+hi)/2, tie), coalesce)
+		out = appendArc(out, lo, hi, winnerFlag(disks, u, v, (lo+hi)/2, tie))
 	}
 	return out
 }
 
-// appendArc appends the arc [a, b] for the given disk; with coalesce it
-// extends the previous arc instead when it comes from the same disk.
-func appendArc(out Skyline, a, b float64, disk int, coalesce bool) Skyline {
-	if coalesce && len(out) > 0 && out[len(out)-1].Disk == disk {
+// appendArc appends the arc [a, b] for the given disk, or extends the
+// previous arc over it when that arc comes from the same disk.
+func appendArc(out Skyline, a, b float64, disk int) Skyline {
+	if len(out) > 0 && out[len(out)-1].Disk == disk {
 		out[len(out)-1].End = b
 		return out
 	}

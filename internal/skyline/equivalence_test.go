@@ -10,7 +10,7 @@ import (
 )
 
 // The central cross-check: on random heterogeneous local disk sets, all
-// four algorithms produce the same envelope and the same skyline set, the
+// the algorithms produce the same envelope and the same skyline set, the
 // skyline validates, and the arc count respects Lemma 8's 2n bound.
 func TestAlgorithmsAgreeHeterogeneous(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
@@ -66,7 +66,7 @@ func TestIncrementalMatchesDNC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ComputeIncremental(disks)
+		b, err := computeIncremental(disks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,12 +82,12 @@ func TestInsertionOrderInvariance(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(20)
 		disks := randomLocalSet(rng, n)
-		ref, err := ComputeIncremental(disks)
+		ref, err := computeIncremental(disks)
 		if err != nil {
 			t.Fatal(err)
 		}
 		order := rng.Perm(n)
-		got, err := ComputeIncrementalOrder(disks, order)
+		got, err := computeIncrementalOrder(disks, order)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,40 +138,11 @@ func TestInputPermutationInvariance(t *testing.T) {
 	}
 }
 
-// The A1 ablation variant must produce the same envelope and skyline set
-// as the production algorithm, only with (potentially) more arc pieces.
-func TestNoCombineMatchesCompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(30)
-		disks := randomLocalSet(rng, n)
-		a, err := Compute(disks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ComputeNoCombine(disks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Validate(n); err != nil {
-			t.Fatalf("trial %d: no-combine skyline invalid: %v", trial, err)
-		}
-		sameEnvelope(t, disks, a, b, "no-combine")
-		sameSet(t, a.Set(), b.Set(), "no-combine")
-		if len(b) < len(a) {
-			t.Fatalf("trial %d: no-combine produced fewer arcs (%d) than combined (%d)",
-				trial, len(b), len(a))
-		}
-	}
-	if _, err := ComputeNoCombine(nil); err == nil {
-		t.Error("empty set must fail")
-	}
-}
-
-// InsertDisk must keep the skyline equal to a full recomputation as disks
-// stream in one by one (the dynamic-neighborhood path).
+// InsertDiskInto must keep the skyline equal to a full recomputation as
+// disks stream in one by one (the dynamic-neighborhood path).
 func TestInsertDiskMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(110))
+	var sc Scratch
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(20)
 		all := randomLocalSet(rng, n)
@@ -180,8 +151,8 @@ func TestInsertDiskMatchesRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 2; k <= n; k++ {
-			sl, err = InsertDisk(all[:k], sl)
-			if err != nil {
+			sl = sc.InsertDiskInto(nil, all[:k], sl, k-1, nil)
+			if err := sl.Validate(k); err != nil {
 				t.Fatal(err)
 			}
 			ref, err := Compute(all[:k])
@@ -191,23 +162,6 @@ func TestInsertDiskMatchesRecompute(t *testing.T) {
 			sameEnvelope(t, all[:k], sl, ref, "insert-disk")
 			sameSet(t, sl.Set(), ref.Set(), "insert-disk")
 		}
-	}
-	// Error paths.
-	if _, err := InsertDisk(nil, nil); err == nil {
-		t.Error("empty disks must fail")
-	}
-	disks := randomLocalSet(rng, 2)
-	if _, err := InsertDisk(disks, Skyline{}); err == nil {
-		t.Error("invalid base skyline must fail")
-	}
-	bad := append(randomLocalSet(rng, 1), geom.NewDisk(9, 9, 1))
-	base, _ := Compute(bad[:1])
-	if _, err := InsertDisk(bad, base); err == nil {
-		t.Error("non-local new disk must fail")
-	}
-	bad2 := append(randomLocalSet(rng, 1), geom.NewDisk(0, 0, -1))
-	if _, err := InsertDisk(bad2, base); err == nil {
-		t.Error("invalid radius must fail")
 	}
 }
 

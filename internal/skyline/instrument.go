@@ -54,8 +54,7 @@ type skyMetrics struct {
 var skyInstr atomic.Pointer[skyMetrics]
 
 // Instrument installs metrics collection for this package into r; nil
-// disables it. The A1 ablation variants (ComputeNoCombine) stay
-// uninstrumented so their measurements are never polluted.
+// disables it.
 func Instrument(r *obs.Registry) {
 	if r == nil {
 		skyInstr.Store(nil)

@@ -1,21 +1,20 @@
 package skyline
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
 )
 
 // This file is the kinetic repair layer: updating an existing skyline for
-// one disk's departure (RemoveDisk), arrival (InsertDiskInto, the
-// scratch-backed sibling of InsertDisk), or motion (MoveDiskInto) without
-// recomputing from scratch. Insertion is Lemma 8's one-disk merge; removal
-// is its inverse — excise the departing disk's arcs and re-expose the
-// runner-up envelope over the freed angular spans. Each operation costs
-// O(candidates × arcs touched), independent of how the skyline was built,
-// which is what makes per-event repair beat per-tick recomputation under
-// continuous mobility (the engine's Update path).
+// one disk's arrival (InsertDiskInto), departure (RemoveDiskInto), or
+// motion (MoveDiskInto) without recomputing from scratch. Insertion is
+// Lemma 8's one-disk merge; removal is its inverse — excise the departing
+// disk's arcs and re-expose the runner-up envelope over the freed angular
+// spans. Each operation costs O(candidates × arcs touched), independent
+// of how the skyline was built, which is what makes per-event repair beat
+// per-tick recomputation under continuous mobility (the engine's Update
+// path).
 //
 // Every operation accepts an optional tie flag. Repair resolves spans
 // against the cached skyline rather than replaying the full merge tree, so
@@ -29,87 +28,28 @@ import (
 // itself is correct either way; the test suite pins it against the
 // retained sort-based oracle.
 
-// RemoveDisk returns the skyline of the disk set with disks[rm] removed.
-// disks must be the slice sl was computed over, unchanged: the result's
-// arcs keep their original indices (never rm), so the caller can drop or
-// recycle slot rm afterwards. Runs in O(n × arcs over the freed spans).
-func RemoveDisk(disks []geom.Disk, sl Skyline, rm int) (Skyline, error) {
-	if len(disks) == 0 {
-		return nil, ErrEmptySet
-	}
-	if rm < 0 || rm >= len(disks) {
-		return nil, fmt.Errorf("skyline: RemoveDisk index %d out of range [0, %d)", rm, len(disks))
-	}
-	if len(disks) == 1 {
-		return nil, fmt.Errorf("skyline: RemoveDisk of the only disk: %w", ErrEmptySet)
-	}
-	if err := sl.Validate(len(disks)); err != nil {
-		return nil, fmt.Errorf("skyline: RemoveDisk on invalid skyline: %w", err)
-	}
-	sc := getScratch()
-	view := sc.RemoveDiskInto(sc.out, disks, sl, rm, nil)
-	sc.out = view
-	owned := make(Skyline, len(view))
-	copy(owned, view)
-	putScratch(sc)
-	return owned, nil
-}
-
-// MoveDisk returns the skyline after disks[mv] moved: disks must already
-// hold the disk's new geometry (removal only needs the arc list, never the
-// old position). Equivalent to RemoveDisk followed by re-insertion, fused.
-func MoveDisk(disks []geom.Disk, sl Skyline, mv int) (Skyline, error) {
-	if len(disks) == 0 {
-		return nil, ErrEmptySet
-	}
-	if mv < 0 || mv >= len(disks) {
-		return nil, fmt.Errorf("skyline: MoveDisk index %d out of range [0, %d)", mv, len(disks))
-	}
-	d := disks[mv]
-	if !(d.R > 0) || math.IsInf(d.R, 0) || math.IsNaN(d.R) {
-		return nil, ErrInvalidRadius
-	}
-	if !d.ContainsOrigin() {
-		return nil, ErrNotLocalDiskSet
-	}
-	if err := sl.Validate(len(disks)); err != nil {
-		return nil, fmt.Errorf("skyline: MoveDisk on invalid skyline: %w", err)
-	}
-	sc := getScratch()
-	view := sc.MoveDiskInto(sc.out, disks, sl, mv, nil)
-	sc.out = view
-	owned := make(Skyline, len(view))
-	copy(owned, view)
-	putScratch(sc)
-	return owned, nil
-}
-
-// InsertDiskInto is the scratch-backed InsertDisk: it merges disks[ins]
-// into sl and writes the result to dst[:0], performing no validation and
+// InsertDiskInto merges disks[ins] into sl, the valid skyline of the other
+// disks, and writes the result to dst[:0], performing no validation and
 // no heap allocation once the buffers are warm (the engine's kinetic path
 // and the allocation regression tests pin this). dst must not alias sl or
 // the Scratch's internal buffers; the caller vouches that disks[ins] is a
-// valid hub-containing disk. Unlike InsertDisk, ins may be any index, not
-// just the last.
+// valid hub-containing disk. ins may be any index.
+//
+// It is mergeInto with a full-circle one-arc second input, minus the
+// breakpoint pass (the union of breakpoints is exactly sl's) and plus an
+// envelope-bound prune: an arc whose owner stays strictly above the new
+// disk's global maximum ray distance (beyond RhoEps, via RhoCmp) cannot be
+// crossed, tied, or taken over anywhere on the arc, so it is copied
+// through without any crossing analysis. The prune is what makes a
+// small-move repair cheap: a moved neighbor contends with two or three
+// arcs of the cached skyline, not all of them.
 //
 //mldcs:hotpath
 func (sc *Scratch) InsertDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, ins int, tie *bool) Skyline {
-	return insertOneInto(dst, disks, sl, ins, skyInstr.Load(), tie)
-}
-
-// insertOneInto merges the single disk ins into the valid skyline sl —
-// semantically mergeInto with a full-circle one-arc second input, minus
-// the breakpoint pass (the union of breakpoints is exactly sl's) and plus
-// an envelope-bound prune: an arc whose owner stays strictly above the
-// new disk's global maximum ray distance (beyond RhoEps, via RhoCmp)
-// cannot be crossed, tied, or taken over anywhere on the arc, so it is
-// copied through without any crossing analysis. The prune is what makes a
-// small-move repair cheap: a moved neighbor contends with two or three
-// arcs of the cached skyline, not all of them.
-func insertOneInto(dst Skyline, disks []geom.Disk, sl Skyline, ins int, im *skyMetrics, tie *bool) Skyline {
 	out := dst[:0]
 	d := disks[ins]
 	dmax := d.C.Norm() + d.R
+	im := skyInstr.Load()
 	if im != nil {
 		im.merges.Inc()
 		im.breakpoints.Add(int64(len(sl) + 1))
@@ -133,10 +73,10 @@ func insertOneInto(dst Skyline, disks []geom.Disk, sl Skyline, ins int, im *skyM
 			if im != nil {
 				im.case0.Inc()
 			}
-			out = appendArc(out, arc.Start, arc.End, arc.Disk, true)
+			out = appendArc(out, arc.Start, arc.End, arc.Disk)
 			continue
 		}
-		out = resolveSpan(disks, out, arc.Start, arc.End, arc.Disk, ins, true, im, tie)
+		out = resolveSpan(disks, out, arc.Start, arc.End, arc.Disk, ins, im, tie)
 	}
 	if len(out) == 0 {
 		win := winner(disks, sl[0].Disk, ins, 1.0)
@@ -194,7 +134,7 @@ func (sc *Scratch) RemoveDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, rm
 // MoveDiskInto updates sl for disks[mv]'s new geometry (already written
 // into disks — the excision identifies the old arcs by index, never by
 // position) in one pass. Arcs the disk does not own are resolved against
-// its new geometry exactly like insertOneInto (with the same
+// its new geometry exactly like InsertDiskInto (with the same
 // envelope-bound prune); runs of arcs it does own become freed spans
 // resolved over all disks *including* the moved one. Fusing matters for
 // small moves: the freed-span seed is then usually the moved disk itself,
@@ -243,10 +183,10 @@ func (sc *Scratch) MoveDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, mv i
 			if im != nil {
 				im.case0.Inc()
 			}
-			out = appendArc(out, arc.Start, arc.End, arc.Disk, true)
+			out = appendArc(out, arc.Start, arc.End, arc.Disk)
 			continue
 		}
-		out = resolveSpan(disks, out, arc.Start, arc.End, arc.Disk, mv, true, im, tie)
+		out = resolveSpan(disks, out, arc.Start, arc.End, arc.Disk, mv, im, tie)
 	}
 	if len(out) == 0 {
 		win := winner(disks, sl[0].Disk, mv, 1.0)
@@ -296,7 +236,7 @@ func (sc *Scratch) resolveFreedSpan(out Skyline, disks []geom.Disk, rm int, a, b
 		}
 		nxt = nxt[:0]
 		for _, arc := range cur {
-			nxt = resolveSpan(disks, nxt, arc.Start, arc.End, arc.Disk, d, true, nil, tie)
+			nxt = resolveSpan(disks, nxt, arc.Start, arc.End, arc.Disk, d, nil, tie)
 		}
 		if len(nxt) == 0 {
 			// Every piece degenerated to a sliver; keep the current span

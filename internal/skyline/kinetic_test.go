@@ -67,14 +67,14 @@ func remapAfterRemove(sl Skyline, rm int) Skyline {
 // requireSameSet asserts the two skylines contribute the same disk set.
 func requireSameSet(t *testing.T, label string, got, want Skyline) {
 	t.Helper()
-	gs := got.AppendSet(nil)
-	ws := want.AppendSet(nil)
+	gs := got.Set()
+	ws := want.Set()
 	if !reflect.DeepEqual(gs, ws) {
 		t.Errorf("%s: skyline set diverged\n got %v (%v)\nwant %v (%v)", label, gs, got, ws, want)
 	}
 }
 
-// RemoveDisk must reproduce the envelope of the surviving disks, and —
+// RemoveDiskInto must reproduce the envelope of the surviving disks, and —
 // whenever the surgery reported no degenerate decision — the exact skyline
 // set a from-scratch compute produces.
 func TestRemoveDiskMatchesRecompute(t *testing.T) {
@@ -88,23 +88,15 @@ func TestRemoveDiskMatchesRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rm := range []int{0, n / 2, n - 1} {
-				got, err := RemoveDisk(disks, sl, rm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkEnvelopeExcept(t, "RemoveDisk", disks, got, rm)
-
 				tie := false
-				fast := sc.RemoveDiskInto(nil, disks, sl, rm, &tie)
-				if !reflect.DeepEqual(got, fast) {
-					t.Fatalf("RemoveDisk and RemoveDiskInto diverged: %v vs %v", got, fast)
-				}
+				got := sc.RemoveDiskInto(nil, disks, sl, rm, &tie)
+				checkEnvelopeExcept(t, "RemoveDiskInto", disks, got, rm)
 				if !tie {
 					want, err := computeSortOracle(without(disks, rm))
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSameSet(t, "RemoveDisk", remapAfterRemove(got, rm), want)
+					requireSameSet(t, "RemoveDiskInto", remapAfterRemove(got, rm), want)
 				}
 			}
 		}
@@ -127,20 +119,18 @@ func TestRemoveDiskStructured(t *testing.T) {
 		{"dominating", []geom.Disk{geom.NewDisk(0.2, 0.1, 1), geom.NewDisk(0, 0, 5), geom.NewDisk(-0.3, 0.2, 1.2)}, 1},
 		{"hub-tangent", []geom.Disk{geom.NewDisk(0.5, 0, 0.5), geom.NewDisk(-0.25, 0, 0.25), geom.NewDisk(0, 0.4, 1)}, 2},
 	}
+	var sc Scratch
 	for _, tc := range cases {
 		sl, err := Compute(tc.disks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RemoveDisk(tc.disks, sl, tc.rm)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		got := sc.RemoveDiskInto(nil, tc.disks, sl, tc.rm, nil)
 		checkEnvelopeExcept(t, tc.name, tc.disks, got, tc.rm)
 	}
 }
 
-// MoveDisk must reproduce the envelope of the set with the moved disk's new
+// MoveDiskInto must reproduce the envelope of the set with the moved disk's new
 // geometry, and the exact recomputed set when no tie was reported.
 func TestMoveDiskMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(702))
@@ -167,30 +157,22 @@ func TestMoveDiskMatchesRecompute(t *testing.T) {
 			}
 			disks[mv] = d
 
-			got, err := MoveDisk(disks, sl, mv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEnvelopeExcept(t, "MoveDisk", disks, got, -1)
-
 			tie := false
-			fast := sc.MoveDiskInto(nil, disks, sl, mv, &tie)
-			if !reflect.DeepEqual(got, fast) {
-				t.Fatalf("MoveDisk and MoveDiskInto diverged: %v vs %v", got, fast)
-			}
+			got := sc.MoveDiskInto(nil, disks, sl, mv, &tie)
+			checkEnvelopeExcept(t, "MoveDiskInto", disks, got, -1)
 			if !tie {
 				want, err := computeSortOracle(disks)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameSet(t, "MoveDisk", got, want)
+				requireSameSet(t, "MoveDiskInto", got, want)
 			}
 		}
 	}
 }
 
-// InsertDiskInto must be byte-identical to the allocating InsertDisk when
-// inserting the last disk (the only form InsertDisk supports).
+// InsertDiskInto must be byte-identical to the incremental construction's
+// insertion step, the Merge against the new disk's one-arc skyline.
 func TestInsertDiskIntoMatchesInsertDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(703))
 	var sc Scratch
@@ -201,50 +183,9 @@ func TestInsertDiskIntoMatchesInsertDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := InsertDisk(disks, sl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := insertDisk(disks, sl, n-1)
 		got := sc.InsertDiskInto(nil, disks, sl, n-1, nil)
 		requireSameSkyline(t, "InsertDiskInto", got, want)
-	}
-}
-
-// The validating wrappers must reject the inputs their contracts exclude.
-func TestKineticErrors(t *testing.T) {
-	disks := []geom.Disk{geom.NewDisk(0.1, 0, 1), geom.NewDisk(-0.1, 0, 1)}
-	sl, err := Compute(disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RemoveDisk(nil, nil, 0); err == nil {
-		t.Error("RemoveDisk on empty set: want error")
-	}
-	if _, err := RemoveDisk(disks, sl, 2); err == nil {
-		t.Error("RemoveDisk out of range: want error")
-	}
-	if _, err := RemoveDisk(disks, sl, -1); err == nil {
-		t.Error("RemoveDisk negative index: want error")
-	}
-	if _, err := RemoveDisk(disks[:1], single(0), 0); err == nil {
-		t.Error("RemoveDisk of the only disk: want error")
-	}
-	if _, err := RemoveDisk(disks, Skyline{{Start: 1, End: 2, Disk: 0}}, 0); err == nil {
-		t.Error("RemoveDisk on invalid skyline: want error")
-	}
-	if _, err := MoveDisk(nil, nil, 0); err == nil {
-		t.Error("MoveDisk on empty set: want error")
-	}
-	if _, err := MoveDisk(disks, sl, 5); err == nil {
-		t.Error("MoveDisk out of range: want error")
-	}
-	bad := []geom.Disk{disks[0], {C: geom.Pt(3, 0), R: 1}}
-	if _, err := MoveDisk(bad, sl, 1); err == nil {
-		t.Error("MoveDisk to a non-hub-containing position: want error")
-	}
-	bad[1] = geom.Disk{C: geom.Pt(0, 0), R: math.Inf(1)}
-	if _, err := MoveDisk(bad, sl, 1); err == nil {
-		t.Error("MoveDisk to an invalid radius: want error")
 	}
 }
 

@@ -14,7 +14,7 @@ var algorithms = []struct {
 }{
 	{"dnc", Compute},
 	{"naive", ComputeNaive},
-	{"incremental", ComputeIncremental},
+	{"incremental", computeIncremental},
 }
 
 func TestSingleDisk(t *testing.T) {
@@ -189,13 +189,13 @@ func TestErrorCases(t *testing.T) {
 
 func TestComputeIncrementalOrderValidation(t *testing.T) {
 	disks := []geom.Disk{geom.NewDisk(0, 0, 1), geom.NewDisk(0.1, 0, 1)}
-	if _, err := ComputeIncrementalOrder(disks, []int{0}); err == nil {
+	if _, err := computeIncrementalOrder(disks, []int{0}); err == nil {
 		t.Error("short order must fail")
 	}
-	if _, err := ComputeIncrementalOrder(disks, []int{0, 0}); err == nil {
+	if _, err := computeIncrementalOrder(disks, []int{0, 0}); err == nil {
 		t.Error("repeated index must fail")
 	}
-	if _, err := ComputeIncrementalOrder(disks, []int{0, 5}); err == nil {
+	if _, err := computeIncrementalOrder(disks, []int{0, 5}); err == nil {
 		t.Error("out-of-range index must fail")
 	}
 }

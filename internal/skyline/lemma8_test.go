@@ -13,8 +13,8 @@ func TestDecreasingRadiusInsertionGrowth(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(30)
 		disks := randomLocalSet(rng, n)
-		order := DecreasingRadiusOrder(disks)
-		counts, err := IncrementalArcGrowth(disks, order)
+		order := decreasingRadiusOrder(disks)
+		counts, err := incrementalArcGrowth(disks, order)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestArbitraryOrderFinalBound(t *testing.T) {
 		n := 2 + rng.Intn(30)
 		disks := randomLocalSet(rng, n)
 		order := rng.Perm(n)
-		counts, err := IncrementalArcGrowth(disks, order)
+		counts, err := incrementalArcGrowth(disks, order)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestCounterexampleInsertionJump(t *testing.T) {
 	for i := range order {
 		order[i] = i
 	}
-	counts, err := IncrementalArcGrowth(disks, order)
+	counts, err := incrementalArcGrowth(disks, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCounterexampleInsertionJump(t *testing.T) {
 			"(counts %v)", jump, counts)
 	}
 	// Decreasing-radius order avoids the jump on the same input.
-	counts2, err := IncrementalArcGrowth(disks, DecreasingRadiusOrder(disks))
+	counts2, err := incrementalArcGrowth(disks, decreasingRadiusOrder(disks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCounterexampleInsertionJump(t *testing.T) {
 func TestDecreasingRadiusOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	disks := randomLocalSet(rng, 20)
-	order := DecreasingRadiusOrder(disks)
+	order := decreasingRadiusOrder(disks)
 	for k := 1; k < len(order); k++ {
 		if disks[order[k-1]].R < disks[order[k]].R {
 			t.Fatalf("order not decreasing at %d: %v then %v",

@@ -24,7 +24,7 @@ import (
 // mergeSortOracle is the old Step 1: collect both skylines' start angles,
 // sort, dedupe, anchor at 0, then resolve spans exactly like the
 // production code. Intentionally allocation-heavy.
-func mergeSortOracle(disks []geom.Disk, s1, s2 Skyline, coalesce bool) Skyline {
+func mergeSortOracle(disks []geom.Disk, s1, s2 Skyline) Skyline {
 	bps := make([]float64, 0, len(s1)+len(s2)+2)
 	for _, a := range s1 {
 		bps = append(bps, a.Start)
@@ -56,7 +56,7 @@ func mergeSortOracle(disks []geom.Disk, s1, s2 Skyline, coalesce bool) Skyline {
 		for i2 < len(s2)-1 && s2[i2].End <= m {
 			i2++
 		}
-		out = resolveSpan(disks, out, a, b, s1[i1].Disk, s2[i2].Disk, coalesce, nil, nil)
+		out = resolveSpan(disks, out, a, b, s1[i1].Disk, s2[i2].Disk, nil, nil)
 	}
 	if len(out) == 0 {
 		win := winner(disks, s1[0].Disk, s2[0].Disk, 1.0)
@@ -64,9 +64,6 @@ func mergeSortOracle(disks []geom.Disk, s1, s2 Skyline, coalesce bool) Skyline {
 	}
 	out[0].Start = 0
 	out[len(out)-1].End = geom.TwoPi
-	if !coalesce {
-		return out
-	}
 	return out.Combine()
 }
 
@@ -82,7 +79,7 @@ func computeSortOracle(disks []geom.Disk) (Skyline, error) {
 			return single(lo)
 		}
 		mid := lo + (hi-lo)/2
-		return mergeSortOracle(disks, rec(lo, mid), rec(mid, hi), true)
+		return mergeSortOracle(disks, rec(lo, mid), rec(mid, hi))
 	}
 	return rec(0, len(disks)), nil
 }
@@ -235,8 +232,7 @@ func TestLinearMergeMatchesSortOracleFuzzSeeds(t *testing.T) {
 	}
 }
 
-// The public Merge must match the oracle merge on arbitrary skyline pairs,
-// in both coalescing and A1 (no-combine) modes.
+// The public Merge must match the oracle merge on arbitrary skyline pairs.
 func TestPublicMergeMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	for trial := 0; trial < 30; trial++ {
@@ -245,11 +241,6 @@ func TestPublicMergeMatchesSortOracle(t *testing.T) {
 		half := 1 + rng.Intn(n-1)
 		sa := computeRange(disks, 0, half)
 		sb := computeRange(disks, half, n)
-		requireSameSkyline(t, "merge", Merge(disks, sa, sb), mergeSortOracle(disks, sa, sb, true))
-
-		sc := getScratch()
-		nc := mergeInto(nil, sc, disks, sa, sb, false, nil, nil)
-		putScratch(sc)
-		requireSameSkyline(t, "merge-nocombine", nc, mergeSortOracle(disks, sa, sb, false))
+		requireSameSkyline(t, "merge", Merge(disks, sa, sb), mergeSortOracle(disks, sa, sb))
 	}
 }

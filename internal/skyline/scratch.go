@@ -153,7 +153,7 @@ func (sc *Scratch) compute(disks []geom.Disk, lo, hi int, m *skyMetrics) Skyline
 		default:
 			left := sc.arena[f.base : f.base+f.leftLen]
 			right := sc.arena[f.base+f.leftLen:]
-			out := mergeInto(sc.out[:0], sc, disks, left, right, true, m, nil)
+			out := mergeInto(sc.out[:0], sc, disks, left, right, m, nil)
 			sc.out = out
 			sc.arena = append(sc.arena[:f.base], out...)
 			fr = fr[:len(fr)-1]

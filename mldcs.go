@@ -17,8 +17,9 @@
 //     network-wide dissemination.
 //   - Experiments: RunExperiment regenerates any of the paper's figures.
 //
-// See the examples directory for runnable walk-throughs, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for paper-versus-measured results.
+// See the examples directory for runnable walk-throughs, docs/DESIGN.md for
+// the system inventory, and EXPERIMENTS.md for paper-versus-measured
+// results.
 package mldcs
 
 import (
@@ -355,7 +356,7 @@ func runExperiment(id string, cfg ExperimentConfig) (Figure, error) {
 	case "fig5.6", "repair":
 		return experiments.Fig56(cfg)
 	case "scaling":
-		return experiments.Scaling(cfg, nil, 0)
+		return experiments.Scaling(cfg, nil)
 	case "engine-scaling":
 		return experiments.EngineScaling(cfg, nil)
 	case "storm-homogeneous":
