@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,9 +16,9 @@ import (
 
 // Steady-state per-node recompute — same geometry, warm worker scratch —
 // must not allocate: the skyline runs in the worker's skyline.Scratch, the
-// key order sorts a scratch buffer in place, the local set and skyline
-// are rebuilt in the node's own kinetic state, and unchanged outputs are
-// compare-and-kept instead of re-copied. The subtest keeps its
+// key order sorts a scratch buffer in place, the local set is solved in
+// worker scratch and the skyline copied into the node's own kinetic-state
+// buffer, and unchanged outputs are compare-and-kept instead of re-copied. The subtest keeps its
 // cache=false name from when the engine had a skyline cache; every node
 // now recomputes its skyline, which is the path that name always covered.
 func TestComputeNodeSteadyStateAllocs(t *testing.T) {
@@ -138,7 +139,7 @@ func loadEngineFuzzCorpus(t *testing.T) map[string][]byte {
 // counterpart of the skyline merge-equivalence suite.
 func TestEngineDifferentialFuzzSeeds(t *testing.T) {
 	for name, data := range loadEngineFuzzCorpus(t) {
-		nodes := nodesFromBytes(data)
+		nodes, _ := nodesFromBytes(data)
 		fwd, hubIn, g := sequentialForwarding(t, nodes)
 		for _, cfg := range engineVariants() {
 			res, err := New(cfg).Compute(nodes)
@@ -189,28 +190,29 @@ func newUpdatePassHarness(t *testing.T, workers, n, k int) *updatePassHarness {
 	if len(h.movers) < k {
 		t.Fatalf("deployment too sparse: %d connected nodes, want %d movers", len(h.movers), k)
 	}
-	if cap(e.updCand) < len(nodes) {
-		e.updCand = make([][]int, len(nodes))
-	}
 	return h
 }
 
-// pass runs one batched update pass over the movers' dirty neighborhoods.
+// pass runs one batched update pass over the movers' dirty neighborhoods,
+// handing the repair the movers' pre-pass states through the candidate
+// list as Apply does.
 func (h *updatePassHarness) pass() {
 	e := h.e
 	clear(h.dirty)
-	cand := e.updCand[:e.out.n]
-	for _, m := range h.movers {
+	e.updPrev, e.updCand = e.updPrev[:0], e.updCand[:0]
+	for j, m := range h.movers {
 		e.out.own(m)
+		e.updPrev = append(e.updPrev, e.out.state(m))
 		e.out.node(m).Pos.X += 1e-9
 		e.grid.Move(m, e.out.node(m).Pos)
 		h.dirty[m] = true
 		h.movedMark[m] = true
 		for _, v := range e.out.nbrs(m) {
 			h.dirty[v] = true
-			cand[v] = append(cand[v], m)
+			e.updCand = append(e.updCand, candidate(v, j))
 		}
 	}
+	slices.Sort(e.updCand)
 	h.list = h.list[:0]
 	for u, d := range h.dirty {
 		if d {
@@ -220,9 +222,6 @@ func (h *updatePassHarness) pass() {
 	e.runPass(h.list, h.movedMark)
 	for _, m := range h.movers {
 		h.movedMark[m] = false
-	}
-	for _, u := range h.list {
-		cand[u] = cand[u][:0]
 	}
 }
 

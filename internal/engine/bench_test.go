@@ -66,6 +66,8 @@ func BenchmarkSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkEngine times one bulk Compute on a fresh engine; kin-B/node is
+// the kinetic state it leaves behind, per node.
 func BenchmarkEngine(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -74,11 +76,14 @@ func BenchmarkEngine(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
+			var e *Engine
 			for i := 0; i < b.N; i++ {
-				if _, err := New(Config{}).Compute(nodes); err != nil {
+				e = New(Config{})
+				if _, err := e.Compute(nodes); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(kinBytesPerNode(e), "kin-B/node")
 		})
 	}
 }
@@ -145,7 +150,8 @@ func BenchmarkEngineUpdateKinetic(b *testing.B) {
 // workload, k=320 a full coalesced group of 16 such batches). churn: 2
 // nodes leave and 2 join elsewhere in the freed slots, one batch of the
 // churn-5k workload. B/op is dominated by publishing: the copied pages of
-// the dirty nodes plus the page directory.
+// the dirty nodes plus the page directory. kin-B/node is the kinetic
+// state's footprint per slot after the sub-benchmark's passes.
 func BenchmarkApply(b *testing.B) {
 	const n = 100000
 	nodes, side, err := benchDeployment(n, 1)
@@ -189,6 +195,7 @@ func benchApply(b *testing.B, nodes []network.Node, side float64, workers int) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(kinBytesPerNode(e), "kin-B/node")
 		})
 	}
 	b.Run("churn", func(b *testing.B) {
@@ -209,6 +216,7 @@ func benchApply(b *testing.B, nodes []network.Node, side float64, workers int) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(kinBytesPerNode(e), "kin-B/node")
 	})
 }
 

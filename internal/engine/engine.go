@@ -165,11 +165,16 @@ type Engine struct {
 	repaired   atomic.Int64
 	recomputed atomic.Int64
 	repairFB   atomic.Int64
-	// kin holds each node's kinetic state — the key-ordered local set and
-	// skyline computeNode last built — which Apply's repair path patches
-	// in place instead of recomputing. Entry u is only ever touched by the
-	// worker that owns node u in the current pass.
-	kin []kinState
+	// kin holds each node's kinetic state: the skyline the last pass built
+	// for it, which Apply's repair path patches instead of recomputing.
+	// Arc disk 0 is the hub and disk i+1 is entry i of the node's published
+	// neighbor list (pageStore.nbrs, slot-sorted). The disks themselves are
+	// not kept; a repair rebuilds them from the page store (kinetic.go). An
+	// empty skyline means no valid state: before the first compute, with
+	// repair disabled, after a degeneracy fallback, or after a leave. Each
+	// buffer grows to exactly the size it must hold. Entry u is only ever
+	// touched by the worker that owns node u in the current pass.
+	kin []skyline.Skyline
 	// Apply's bookkeeping, reused across calls so a steady mobility loop
 	// does not re-allocate it every step: the changed slots with their
 	// pre-pass states, the dirty marks and list (marks reset entry-wise),
@@ -180,11 +185,13 @@ type Engine struct {
 	updList      []int
 	updMovedMark []bool
 	updIn        []Delta
-	// updCand[v] lists the moved nodes that may have changed v's link set
-	// this pass (possibly with duplicates): filled alongside the dirty
-	// marking, consumed by updateNode's repair gather — which therefore
-	// never needs a grid query — and reset entry-wise after the pass.
-	updCand [][]int
+	// updCand is the pass's flat candidate list: one entry candidate(v, j)
+	// per dirty node v and changed slot updPrev[j].Slot that may have
+	// changed v's link set, possibly twice. Filled alongside the dirty
+	// marking and sorted, so each node's entries form one run; consumed by
+	// updateNode's repair gather, which therefore never needs a grid query
+	// and finds a changed neighbor's pre-pass state at updPrev[j].
+	updCand []uint64
 	// Parallel-driver state (pool.go): persistent per-worker scratches,
 	// the shared batch cursor, and the pass's cell-batch buffers.
 	scratches []*scratch
@@ -197,21 +204,6 @@ type Engine struct {
 	// allocation every pass.
 	passFn   func(i int, sc *scratch)
 	passMark []bool
-}
-
-// kinState is one node's kinetic state: the neighbor IDs parallel to
-// disks[1:] (disks[0] is the hub's own disk), and the skyline over disks.
-// computeNode builds all three in place, neighbors in key order; repair
-// scrambles that order by swap-compaction as neighbors depart and appends
-// joiners at the tail, and only the parallel correspondence matters
-// there. valid is false whenever the state cannot be trusted: before the
-// first compute, with repair disabled, after a degeneracy fallback, or
-// mid-abandoned repair.
-type kinState struct {
-	valid bool
-	ids   []int
-	disks []geom.Disk
-	sl    skyline.Skyline
 }
 
 // checkInvariants is the runtime envelope check computeNode applies to
@@ -274,10 +266,10 @@ func (e *Engine) bulk() *View {
 	if cap(e.kin) >= n {
 		e.kin = e.kin[:n]
 		for i := range e.kin {
-			e.kin[i].valid = false
+			e.kin[i] = e.kin[i][:0]
 		}
 	} else {
-		e.kin = make([]kinState, n)
+		e.kin = make([]skyline.Skyline, n)
 	}
 
 	if e.live == 0 {
@@ -393,20 +385,24 @@ type scratch struct {
 	fwdBuf []int           // reusable mapped forwarding IDs
 	// nodes books this worker's share of the current pass (pool.go).
 	nodes int
-	// Kinetic repair buffers (see kinetic.go): neighborhood diff lists and
-	// the skyline the repair surgery ping-pongs through.
+	// The local set being solved or repaired: hub-frame disks, disk 0 the
+	// hub's own.
+	disks []geom.Disk
+	// The skyline a compute or repair builds, and the second buffer the
+	// repair surgery ping-pongs through.
+	sl, slTmp skyline.Skyline
+	// Kinetic repair's neighborhood diff lists.
 	lost    []int
 	gained  []int
 	movedNb []int
-	cands   []int
-	ksl     skyline.Skyline
 }
 
 // nbTuple is one neighbor's place in the key order: its key, then its
-// slot.
+// slot, and its rank in the slot-sorted neighbor list.
 type nbTuple struct {
-	key int64
-	id  int
+	key  int64
+	id   int
+	rank int
 }
 
 // computeNode recomputes node u's neighborhood and forwarding set. It
@@ -444,32 +440,24 @@ func (e *Engine) computeNode(u int, sc *scratch) {
 	// lower index) between disks within geom.RhoEps of each other; there
 	// the lowest-key disk represents, as it does in the solver.
 	sc.byKey = sc.byKey[:0]
-	for _, v := range sc.ids {
-		sc.byKey = append(sc.byKey, nbTuple{key: e.out.key(v), id: v})
+	for i, v := range sc.ids {
+		sc.byKey = append(sc.byKey, nbTuple{key: e.out.key(v), id: v, rank: i})
 	}
 	slices.SortFunc(sc.byKey, func(a, b nbTuple) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
 	})
 
-	// The kinetic state is the local set itself: ids parallel to disks[1:]
-	// in key order, and the skyline over disks. disks grows once to the
-	// set's size, where per-disk appends would leave many nodes nearly
-	// twice the capacity; ids keeps append's doubling slack, which absorbs
-	// neighbors gained by repair. The local-disk-set precondition holds by
-	// construction — the pass validated the hub radius and the link
-	// predicate only admits neighbors that reach back over the hub — so
-	// the validation pass is skipped; a degenerate result is still caught
-	// by the invariant check below.
-	st := &e.kin[u]
-	st.ids = st.ids[:0]
-	st.disks = slices.Grow(st.disks[:0], len(sc.byKey)+1)
-	st.disks = append(st.disks, geom.Disk{R: hub.Radius})
+	// Solve the local set in key order in worker scratch. The local-disk-set
+	// precondition holds by construction — the pass validated the hub
+	// radius and the link predicate only admits neighbors that reach back
+	// over the hub — so the validation pass is skipped; a degenerate result
+	// is still caught by the invariant check below.
+	sc.disks = append(sc.disks[:0], geom.Disk{R: hub.Radius})
 	for _, t := range sc.byKey {
-		st.ids = append(st.ids, t.id)
-		st.disks = append(st.disks, e.out.node(t.id).Disk().Translate(hub.Pos))
+		sc.disks = append(sc.disks, e.out.node(t.id).Disk().Translate(hub.Pos))
 	}
-	st.sl = sc.sky.ComputeIntoUnchecked(st.sl, st.disks)
-	if ierr := checkInvariants(st.sl, len(st.disks)); ierr != nil {
+	sc.sl = sc.sky.ComputeIntoUnchecked(sc.sl, sc.disks)
+	if ierr := checkInvariants(sc.sl, len(sc.disks)); ierr != nil {
 		//mldcslint:allow hotpathalloc degeneracy fallback, cold by construction (invariant violations are counted and rare)
 		e.fallbackNode(u, ierr)
 		if nodeSpan.Sampled() {
@@ -478,29 +466,57 @@ func (e *Engine) computeNode(u int, sc *scratch) {
 		}
 		return
 	}
-	st.valid = !e.cfg.DisableRepair
-	e.writeForwarding(u, st, sc)
+	// Relabel key positions to ranks in the slot-sorted neighbor list, the
+	// labels the kinetic state and writeForwarding use.
+	for i, a := range sc.sl {
+		if a.Disk > 0 {
+			sc.sl[i].Disk = sc.byKey[a.Disk-1].rank + 1
+		}
+	}
+	e.keepKin(u, sc.sl)
+	e.writeForwarding(u, sc)
 	if nodeSpan.Sampled() {
 		//mldcslint:allow hotpathalloc span finalization runs only for sampled spans, off the steady path
 		nodeSpan.End(map[string]any{"node": u, "neighbors": len(sc.ids), "cover": len(sc.fwdBuf)})
 	}
 }
 
-// writeForwarding sets node u's forwarding set and hub flag from its
-// kinetic state's skyline: disk 0 is the hub, disk d ≥ 1 is neighbor
-// st.ids[d-1]. A disk may own several arcs, so the mapped IDs are sorted
+// keepKin stores sl as node u's kinetic state (nothing, with repair
+// disabled). The node's buffer is reused when it is large enough and
+// otherwise replaced by one of exactly len(sl) arcs: append's doubling
+// would let every node's capacity creep up to twice its high-water mark
+// under mobility.
+//
+//mldcs:hotpath
+func (e *Engine) keepKin(u int, sl skyline.Skyline) {
+	if e.cfg.DisableRepair {
+		return
+	}
+	st := e.kin[u]
+	if cap(st) < len(sl) {
+		//mldcslint:allow hotpathalloc exact-size growth: only when the node's skyline outgrows every earlier one
+		st = make(skyline.Skyline, len(sl))
+	}
+	st = st[:len(sl)]
+	copy(st, sl)
+	e.kin[u] = st
+}
+
+// writeForwarding sets node u's forwarding set and hub flag from the
+// skyline in sc.sl, whose disk 0 is the hub and disk d ≥ 1 neighbor
+// sc.ids[d-1]. A disk may own several arcs, so the mapped IDs are sorted
 // once and deduplicated.
 //
 //mldcs:hotpath
-func (e *Engine) writeForwarding(u int, st *kinState, sc *scratch) {
+func (e *Engine) writeForwarding(u int, sc *scratch) {
 	hubIn := false
 	sc.fwdBuf = sc.fwdBuf[:0]
-	for _, a := range st.sl {
+	for _, a := range sc.sl {
 		if a.Disk == 0 {
 			hubIn = true
 			continue
 		}
-		sc.fwdBuf = append(sc.fwdBuf, st.ids[a.Disk-1])
+		sc.fwdBuf = append(sc.fwdBuf, sc.ids[a.Disk-1])
 	}
 	slices.Sort(sc.fwdBuf)
 	sc.fwdBuf = slices.Compact(sc.fwdBuf)
@@ -541,7 +557,7 @@ func keepInts(old, cur []int) []int {
 // which is a correct (if non-minimal) cover of any local disk set. The
 // event is counted in Stats.Fallbacks and logged through internal/obs.
 func (e *Engine) fallbackNode(u int, cause error) {
-	e.kin[u].valid = false
+	e.kin[u] = e.kin[u][:0]
 	pg, slot := e.out.at(u)
 	pg.fwd[slot] = append([]int(nil), pg.nbrs[slot]...)
 	pg.hubIn[slot] = true

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/skyline"
 )
 
 // Update advances the engine to new node states without redoing the whole
@@ -106,7 +108,7 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 	start := time.Now()
 	if n > e.out.n {
 		e.out.grow(n)
-		e.kin = append(e.kin, make([]kinState, n-len(e.kin))...)
+		e.kin = append(e.kin, make([]skyline.Skyline, n-len(e.kin))...)
 	}
 	// The per-slot tables are all-false between passes (reset entry-wise
 	// below), so they only ever grow here, doubling so a growing network
@@ -115,11 +117,9 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 		c := max(n, 2*cap(e.updMovedMark))
 		e.updMovedMark = make([]bool, c)
 		e.updDirty = make([]bool, c)
-		e.updCand = make([][]int, c)
 	}
 	movedMark := e.updMovedMark[:n]
 	dirty := e.updDirty[:n]
-	cand := e.updCand[:n]
 
 	// Write the new states, keeping each slot's pre-pass state from its
 	// first entry, then drop the slots that ended where they started.
@@ -150,9 +150,9 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 	// reflects the changes — its new neighbors (who may have gained it).
 	// Everyone else's local set is bitwise unchanged. A slot that left is
 	// not dirty: it has no local set, so its outputs are simply emptied.
-	// cand[v] collects the changed slots that may have changed v's link
-	// set, for updateNode's grid-free repair gather.
-	list := e.updList[:0]
+	// cand collects, per dirty node, the changed slots that may have
+	// changed its link set, for updateNode's grid-free repair gather.
+	list, cand := e.updList[:0], e.updCand[:0]
 	edges := e.stats.Edges
 	for j, u := range ids {
 		for _, v := range e.out.nbrs(u) {
@@ -163,7 +163,7 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 				dirty[v] = true
 				list = append(list, v)
 			}
-			cand[v] = append(cand[v], u)
+			cand = append(cand, candidate(v, j))
 		}
 		was, now := !prev[j].Leave, e.out.present(u)
 		switch {
@@ -178,14 +178,14 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 			pg, slot := e.out.at(u)
 			edges -= len(pg.nbrs[slot])
 			pg.nbrs[slot], pg.fwd[slot], pg.hubIn[slot] = nil, nil, false
-			e.kin[u].valid = false
+			e.kin[u] = nil
 		}
 		if now && !dirty[u] {
 			dirty[u] = true
 			list = append(list, u)
 		}
 	}
-	for _, u := range ids {
+	for j, u := range ids {
 		hub := *e.out.node(u)
 		if !(hub.Radius > 0) {
 			continue
@@ -199,11 +199,12 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 					dirty[v] = true
 					list = append(list, v)
 				}
-				cand[v] = append(cand[v], u)
+				cand = append(cand, candidate(v, j))
 			}
 		})
 	}
-	e.updList = list
+	slices.Sort(cand)
+	e.updList, e.updCand = list, cand
 
 	// Only dirty nodes change their neighbor count, so the edge total moves
 	// by their before/after difference.
@@ -222,11 +223,8 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 	for _, u := range ids {
 		movedMark[u] = false
 	}
-	// Every cand append above was paired with a dirty mark, so resetting
-	// over the dirty list clears exactly the touched entries in O(dirty).
 	for _, u := range list {
 		dirty[u] = false
-		cand[u] = cand[u][:0]
 		edges += len(e.out.nbrs(u))
 	}
 
@@ -255,4 +253,11 @@ func (e *Engine) Apply(ds []Delta) (*View, error) {
 		})
 	}
 	return v, nil
+}
+
+// candidate encodes a candidate-list entry: changed slot updPrev[j].Slot
+// may have changed node v's link set. Sorting the entries groups them by
+// node.
+func candidate(v, j int) uint64 {
+	return uint64(v)<<32 | uint64(j)
 }

@@ -39,48 +39,81 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestEngineUpdateRepairMatchesFresh is the end-to-end differential for the
-// kinetic repair path: small random subsets of nodes drift a little each
-// tick, so most dirty nodes are repair candidates (they did not move, one
-// neighbor did). Every tick must match a from-scratch Compute exactly, and
-// the repair path must actually fire — a silent
-// everything-fell-back-to-recompute regression fails the Repaired check.
+// kinetic repair path: random subsets of nodes drift each tick, so most
+// dirty nodes are repair candidates (they did not move, a neighbor did).
+// Every tick must match a from-scratch Compute exactly, and the repair
+// path must actually fire — a silent everything-fell-back-to-recompute
+// regression fails the Repaired check.
+//
+// The first regime is the one repair is built for: 1% of the nodes slide
+// by at most 2% of their radius. The others move n/20 to n/8 nodes by 5–20%
+// of their radius, so a repaired node often has several changed neighbors
+// in one pass. That is where the repair's rebuilt local set must give every
+// changed neighbor its pre-pass disk: with two moved neighbors m1 and m2
+// and a disk x that m2's old disk hid, a rebuild at post-pass positions
+// lets m1's surgery hand part of m2's old arcs to m1, and x never comes
+// back. Rebuilding at post-pass positions diverges from a fresh Compute
+// in about half of these regimes.
 func TestEngineUpdateRepairMatchesFresh(t *testing.T) {
-	nodes, _, err := benchDeployment(400, 13)
+	const n = 400
+	nodes, _, err := benchDeployment(n, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ecfg := range engineVariants() {
-		rng := rand.New(rand.NewSource(77))
-		e := New(ecfg)
-		if _, err := e.Compute(nodes); err != nil {
-			t.Fatal(err)
+	type regime struct {
+		seed          int64
+		ticks, movers int
+		frac          float64
+		cfgs          []Config
+	}
+	regimes := []regime{{seed: 77, ticks: 6, movers: 1 + n/100, frac: 0.02, cfgs: engineVariants()}}
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, frac := range []float64{0.05, 0.1, 0.2} {
+			for _, movers := range []int{n / 20, n / 12, n / 8} {
+				// The worker count only changes which worker repairs which
+				// node, which the first regime and the pool tests pin, so
+				// these regimes run on one worker.
+				regimes = append(regimes, regime{seed: seed, ticks: 10, movers: movers, frac: frac,
+					cfgs: []Config{{Workers: 1}}})
+			}
 		}
-		cur := append([]network.Node(nil), nodes...)
-		totalRepaired := 0
-		for step := 1; step <= 6; step++ {
-			smallMoveStep(rng, cur, 1+len(cur)/100, 0.02)
-			got, err := e.Update(cur)
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
+	}
+	for _, rg := range regimes {
+		for _, ecfg := range rg.cfgs {
+			rng := rand.New(rand.NewSource(rg.seed))
+			e := New(ecfg)
+			if _, err := e.Compute(nodes); err != nil {
+				t.Fatal(err)
 			}
-			want, err := New(ecfg).Compute(cur)
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
+			cur := append([]network.Node(nil), nodes...)
+			totalRepaired := 0
+			for step := 1; step <= rg.ticks; step++ {
+				smallMoveStep(rng, cur, rg.movers, rg.frac)
+				got, err := e.Update(cur)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				want, err := New(ecfg).Compute(cur)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				label := fmt.Sprintf("seed %d movers %d frac %g step %d workers=%d",
+					rg.seed, rg.movers, rg.frac, step, ecfg.Workers)
+				requireSameResult(t, label, got, want)
+				if got.Stats.Repaired+got.Stats.Recomputed != got.Stats.Dirty {
+					t.Fatalf("%s: repaired %d + recomputed %d != dirty %d",
+						label, got.Stats.Repaired, got.Stats.Recomputed, got.Stats.Dirty)
+				}
+				if got.Stats.RepairFallbacks > got.Stats.Recomputed {
+					t.Fatalf("%s: repair fallbacks %d exceed recomputes %d",
+						label, got.Stats.RepairFallbacks, got.Stats.Recomputed)
+				}
+				totalRepaired += got.Stats.Repaired
 			}
-			label := fmt.Sprintf("step %d workers=%d", step, ecfg.Workers)
-			requireSameResult(t, label, got, want)
-			if got.Stats.Repaired+got.Stats.Recomputed != got.Stats.Dirty {
-				t.Fatalf("%s: repaired %d + recomputed %d != dirty %d",
-					label, got.Stats.Repaired, got.Stats.Recomputed, got.Stats.Dirty)
+			if totalRepaired == 0 {
+				t.Errorf("seed %d movers %d frac %g workers=%d: repair path never fired",
+					rg.seed, rg.movers, rg.frac, ecfg.Workers)
 			}
-			if got.Stats.RepairFallbacks > got.Stats.Recomputed {
-				t.Fatalf("%s: repair fallbacks %d exceed recomputes %d",
-					label, got.Stats.RepairFallbacks, got.Stats.Recomputed)
-			}
-			totalRepaired += got.Stats.Repaired
-		}
-		if totalRepaired == 0 {
-			t.Errorf("workers=%d: repair path never fired under small-move mobility", ecfg.Workers)
 		}
 	}
 }
@@ -206,11 +239,14 @@ func TestUpdateNodeRepairSteadyStateAllocs(t *testing.T) {
 	e.out.own(hub)
 	movedMark := make([]bool, len(nodes))
 	movedMark[mover] = true
-	e.updCand = make([][]int, len(nodes))
+	// The mover is the hub's one candidate; its pre-pass state goes where
+	// Apply would put it.
+	e.updPrev = make([]Delta, 1)
+	e.updCand = []uint64{candidate(hub, 0)}
 	sc := &scratch{}
 	wiggle := func() {
+		e.updPrev[0] = e.out.state(mover)
 		e.out.node(mover).Pos.X += 1e-9 // tiny slide: always a repairable diff
-		e.updCand[hub] = append(e.updCand[hub][:0], mover)
 		e.updateNode(hub, sc, movedMark)
 	}
 	for i := 0; i < 5; i++ {

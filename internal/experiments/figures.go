@@ -118,7 +118,7 @@ func Fig54(cfg Config) (Figure, error) {
 		Series: series,
 		Notes: []string{
 			"paper: curves top-to-bottom are flooding, skyline, greedy, optimal",
-			"node density calibrated to E[min(Ri,Rj)²] = 11/6; see DESIGN.md",
+			"node density calibrated to E[min(Ri,Rj)²] = 11/6; see docs/DESIGN.md",
 		},
 	}, nil
 }
