@@ -10,9 +10,6 @@
 //	          -trajectory results/BENCH_trajectory.jsonl -sha $(git rev-parse --short HEAD)
 //	    Convert the machine-readable BENCH_*.json reports into trajectory
 //	    entries and append them (make bench / make bench-skyline do this).
-//	    -sweep BENCH_sweep.json additionally converts a cmd/mldcsbench
-//	    scaling sweep, one entry per (cores, workload, contention) cell
-//	    (make bench-sweep does this).
 //
 //	benchdiff -check -trajectory results/BENCH_trajectory.jsonl [-threshold 1.30]
 //	    For every configuration key (source, workload, nodes, num_cpu,
@@ -64,10 +61,6 @@ type entry struct {
 	NodeP90US    float64 `json:"node_p90_us,omitempty"`
 	NodeP99US    float64 `json:"node_p99_us,omitempty"`
 	NodeP999US   float64 `json:"node_p999_us,omitempty"`
-	// Sweep-only extras (mldcsbench): the cell's whole-network Compute
-	// time and worker load imbalance (max/mean nodes, worst tick).
-	ComputeMS       float64 `json:"compute_ms,omitempty"`
-	WorkerImbalance float64 `json:"worker_imbalance,omitempty"`
 }
 
 // key is the comparison unit: entries only ever compare within the same
@@ -116,26 +109,6 @@ type engineReport struct {
 	} `json:"update"`
 }
 
-// sweepReport mirrors the BENCH_sweep.json schema written by
-// cmd/mldcsbench. Every cell becomes one trajectory entry keyed per
-// (cores, workload, contention): the cell's GOMAXPROCS lands in
-// gomaxprocs and the contention exponent is folded into the workload
-// string, so the existing per-key gate compares like against like.
-type sweepReport struct {
-	NumCPU int `json:"num_cpu"`
-	Cells  []struct {
-		Cores           int     `json:"cores"`
-		Workers         int     `json:"workers"`
-		Workload        string  `json:"workload"`
-		Contention      float64 `json:"contention"`
-		Nodes           int     `json:"nodes"`
-		ComputeMS       float64 `json:"compute_ms"`
-		TickP50MS       float64 `json:"tick_p50_ms"`
-		TickP99MS       float64 `json:"tick_p99_ms"`
-		WorkerImbalance float64 `json:"worker_imbalance"`
-	} `json:"cells"`
-}
-
 // skylineReport mirrors the BENCH_skyline.json schema written by
 // TestSkylineBenchReport.
 type skylineReport struct {
@@ -161,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trajectory = fs.String("trajectory", "results/BENCH_trajectory.jsonl", "trajectory JSONL path")
 		enginePath = fs.String("engine", "", "with -append: BENCH_engine.json to convert")
 		skyPath    = fs.String("skyline", "", "with -append: BENCH_skyline.json to convert")
-		sweepPath  = fs.String("sweep", "", "with -append: BENCH_sweep.json (mldcsbench) to convert")
 		sha        = fs.String("sha", "", "with -append: git SHA to stamp on the entries")
 		ts         = fs.String("ts", "", "with -append: RFC3339 timestamp (default: now, UTC)")
 		threshold  = fs.Float64("threshold", 1.30, "with -check: fail when latest > threshold × median of prior runs")
@@ -175,15 +147,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	case *doAppend:
-		if *enginePath == "" && *skyPath == "" && *sweepPath == "" {
-			fmt.Fprintln(stderr, "benchdiff: -append needs -engine, -skyline, and/or -sweep")
+		if *enginePath == "" && *skyPath == "" {
+			fmt.Fprintln(stderr, "benchdiff: -append needs -engine and/or -skyline")
 			return 2
 		}
 		stamp := *ts
 		if stamp == "" {
 			stamp = time.Now().UTC().Format(time.RFC3339)
 		}
-		if err := appendReports(*trajectory, *enginePath, *skyPath, *sweepPath, *sha, stamp, stdout); err != nil {
+		if err := appendReports(*trajectory, *enginePath, *skyPath, *sha, stamp, stdout); err != nil {
 			fmt.Fprintln(stderr, "benchdiff:", err)
 			return 1
 		}
@@ -204,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // appendReports converts the given BENCH reports to entries and appends
 // them to the trajectory file, creating it (and its directory) if needed.
-func appendReports(trajectory, enginePath, skyPath, sweepPath, sha, ts string, stdout io.Writer) error {
+func appendReports(trajectory, enginePath, skyPath, sha, ts string, stdout io.Writer) error {
 	var entries []entry
 	if enginePath != "" {
 		es, err := engineEntries(enginePath, sha, ts)
@@ -215,13 +187,6 @@ func appendReports(trajectory, enginePath, skyPath, sweepPath, sha, ts string, s
 	}
 	if skyPath != "" {
 		es, err := skylineEntries(skyPath, sha, ts)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, es...)
-	}
-	if sweepPath != "" {
-		es, err := sweepEntries(sweepPath, sha, ts)
 		if err != nil {
 			return err
 		}
@@ -317,39 +282,6 @@ func skylineEntries(path, sha, ts string) ([]entry, error) {
 			Gomaxprocs: rep.Gomaxprocs,
 			Workers:    1,
 			MS:         s.ComputeIntoNsOp / 1e6,
-		})
-	}
-	return out, nil
-}
-
-// sweepEntries converts a mldcsbench sweep report. Each cell yields one
-// entry gating on the tick p50 (MS); compute time and imbalance ride
-// along. The trajectory key becomes (sweep, workload/c=<contention>,
-// nodes, num_cpu, gomaxprocs=cores, workers) — exactly the per-(cores,
-// workload, contention) comparison unit the sweep matrix calls for.
-func sweepEntries(path, sha, ts string) ([]entry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep sweepReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	var out []entry
-	for _, c := range rep.Cells {
-		out = append(out, entry{
-			TS: ts, SHA: sha,
-			Source:          "sweep",
-			Workload:        fmt.Sprintf("%s/c=%g", c.Workload, c.Contention),
-			Nodes:           c.Nodes,
-			NumCPU:          rep.NumCPU,
-			Gomaxprocs:      c.Cores,
-			Workers:         c.Workers,
-			MS:              c.TickP50MS,
-			TickP99MS:       c.TickP99MS,
-			ComputeMS:       c.ComputeMS,
-			WorkerImbalance: c.WorkerImbalance,
 		})
 	}
 	return out, nil

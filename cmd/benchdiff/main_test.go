@@ -262,69 +262,6 @@ func TestBadUsage(t *testing.T) {
 	}
 }
 
-// TestAppendSweepReport: a mldcsbench sweep report converts into one
-// trajectory entry per cell, keyed per (cores via gomaxprocs, workload
-// with contention folded in, workers).
-func TestAppendSweepReport(t *testing.T) {
-	dir := t.TempDir()
-	sweep := filepath.Join(dir, "BENCH_sweep.json")
-	const report = `{
-	  "num_cpu": 8,
-	  "cells": [
-	    {"cores": 1, "workers": 1, "workload": "uniform", "contention": 0, "nodes": 5000,
-	     "compute_ms": 40, "tick_p50_ms": 1.5, "tick_p99_ms": 3.0,
-	     "worker_imbalance": 1.0, "steals": 0, "cache_hit_ratio": 0.1},
-	    {"cores": 4, "workers": 4, "workload": "zipf", "contention": 1.2, "nodes": 5000,
-	     "compute_ms": 15, "tick_p50_ms": 0.6, "tick_p99_ms": 1.9,
-	     "worker_imbalance": 1.8, "steals": 12, "cache_hit_ratio": 0.4}
-	  ]
-	}`
-	if err := os.WriteFile(sweep, []byte(report), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	traj := filepath.Join(dir, "traj.jsonl")
-	var out, errb bytes.Buffer
-	code := run([]string{"-append", "-sweep", sweep, "-trajectory", traj,
-		"-sha", "cafe123", "-ts", "2026-08-07T00:00:00Z"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d\nstderr: %s", code, errb.String())
-	}
-	es := readEntries(t, traj)
-	if len(es) != 2 {
-		t.Fatalf("got %d entries, want 2", len(es))
-	}
-	e := es[1]
-	if e.Source != "sweep" || e.Workload != "zipf/c=1.2" {
-		t.Errorf("entry key = %s/%s, want sweep/zipf/c=1.2", e.Source, e.Workload)
-	}
-	if e.Gomaxprocs != 4 || e.NumCPU != 8 || e.Workers != 4 {
-		t.Errorf("machine fields = gomaxprocs %d num_cpu %d workers %d", e.Gomaxprocs, e.NumCPU, e.Workers)
-	}
-	if e.MS != 0.6 || e.TickP99MS != 1.9 || e.ComputeMS != 15 {
-		t.Errorf("latency fields = ms %g p99 %g compute %g", e.MS, e.TickP99MS, e.ComputeMS)
-	}
-	if e.WorkerImbalance != 1.8 {
-		t.Errorf("imbalance field = %g", e.WorkerImbalance)
-	}
-	if es[0].key() == es[1].key() {
-		t.Error("distinct cells share a trajectory key")
-	}
-
-	// The appended rows must be gateable: a second identical append gives
-	// every key a baseline, and -check passes.
-	if code := run([]string{"-append", "-sweep", sweep, "-trajectory", traj,
-		"-sha", "cafe124", "-ts", "2026-08-07T01:00:00Z"}, &out, &errb); code != 0 {
-		t.Fatalf("second append: exit = %d\nstderr: %s", code, errb.String())
-	}
-	out.Reset()
-	if code := run([]string{"-check", "-trajectory", traj}, &out, &errb); code != 0 {
-		t.Fatalf("check: exit = %d\nstdout: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "ok sweep/zipf/c=1.2") {
-		t.Errorf("sweep key not gated:\n%s", out.String())
-	}
-}
-
 // readEntries parses every line of a trajectory file.
 func readEntries(t *testing.T, path string) []entry {
 	t.Helper()

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro"
 	"repro/internal/deploy"
+	"repro/internal/engine"
 	"repro/internal/mobility"
 	"repro/internal/network"
 )
@@ -18,17 +20,17 @@ type engineOpts struct {
 	degree     float64 // target mean 1-hop degree
 	model      string  // "homogeneous" or "heterogeneous"
 	workers    int     // engine worker count (0 = GOMAXPROCS)
-	steps      int     // mobility steps to run through the incremental path
+	steps      int     // small-move steps to run through the incremental path
 	verify     bool    // cross-check against the sequential per-node pipeline
-	contention float64 // zipf hotspot skew (0 = uniform deployment + waypoint)
+	contention float64 // zipf hotspot skew (0 = uniform placement and movers)
 	hotspots   int     // hotspot cluster count when contention > 0
 	seed       int64
 }
 
 // runEngine exercises the whole-network engine from the command line: one
 // full Compute over a deployment scaled to the requested size, optional
-// random-waypoint steps through the incremental Update path, and an
-// optional differential verification against the sequential pipeline.
+// small-move steps through Apply (the incremental pass mldcsd runs), and
+// an optional differential verification against the sequential pipeline.
 func runEngine(o engineOpts) error {
 	var radiusModel deploy.RadiusModel
 	switch o.model {
@@ -74,64 +76,47 @@ func runEngine(o engineOpts) error {
 	fmt.Printf("compute: %v (%.0f nodes/sec)\n", elapsed.Round(time.Microsecond),
 		float64(s.Nodes)/elapsed.Seconds())
 	if o.verify {
-		if err := verifyEngine(nodes, res); err != nil {
+		if err := verifyEngine(nodes, eng.View()); err != nil {
 			return err
 		}
 		fmt.Println("verify: engine output element-identical to sequential per-node pipeline")
 	}
 
-	if o.steps > 0 {
-		// Uniform runs walk random waypoints; contended runs use the
-		// hotspot mover process, which drifts mostly hot-cluster nodes.
-		var nextNodes func() ([]network.Node, error)
-		if o.contention > 0 {
-			movers := 1 + len(nodes)/100
-			nextNodes = func() ([]network.Node, error) {
-				hw.Step(movers, rng)
-				return hw.Nodes(), nil
-			}
-		} else {
-			model, err := mobility.NewModel(mobility.WaypointConfig{
-				Side: dcfg.Side, SpeedMin: 0.5, SpeedMax: 1.5, PauseMax: 0.5,
-			}, nodes, rng)
-			if err != nil {
-				return err
-			}
-			nextNodes = func() ([]network.Node, error) {
-				model.Step(0.2)
-				return model.Nodes(), nil
-			}
+	// Each step moves 1% of the nodes (uniformly at contention 0, mostly
+	// hot-cluster nodes otherwise) by at most 2% of their radius and hands
+	// the moved slots to Apply.
+	movers := 1 + len(nodes)/100
+	var ds []engine.Delta
+	for step := 1; step <= o.steps; step++ {
+		ds = ds[:0]
+		for _, u := range hw.Step(movers, rng) {
+			n := nodes[u]
+			ds = append(ds, engine.Delta{Slot: u, Key: int64(u), Pos: n.Pos, Radius: n.Radius})
 		}
-		for step := 1; step <= o.steps; step++ {
-			cur, err := nextNodes()
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			res, err = eng.Update(cur)
-			if err != nil {
-				return err
-			}
-			s := res.Stats
-			fmt.Printf("step %d: %d moved, %d dirty (%.1f%% of network), update %v, imbalance %.2f\n",
-				step, s.Moved, s.Dirty, 100*float64(s.Dirty)/float64(s.Nodes),
-				time.Since(start).Round(time.Microsecond), s.WorkerImbalance)
-			if o.verify {
-				if err := verifyEngine(cur, res); err != nil {
-					return fmt.Errorf("step %d: %w", step, err)
-				}
-			}
+		start := time.Now()
+		v, err := eng.Apply(ds)
+		if err != nil {
+			return err
 		}
+		s := v.Stats
+		fmt.Printf("step %d: %d moved, %d dirty (%.1f%% of network), apply %v, imbalance %.2f\n",
+			step, s.Moved, s.Dirty, 100*float64(s.Dirty)/float64(s.Nodes),
+			time.Since(start).Round(time.Microsecond), s.WorkerImbalance)
 		if o.verify {
-			fmt.Printf("verify: %d incremental updates element-identical to sequential recompute\n", o.steps)
+			if err := verifyEngine(nodes, v); err != nil {
+				return fmt.Errorf("step %d: %w", step, err)
+			}
 		}
+	}
+	if o.verify && o.steps > 0 {
+		fmt.Printf("verify: %d incremental passes element-identical to sequential recompute\n", o.steps)
 	}
 	return nil
 }
 
 // verifyEngine recomputes every forwarding set with the sequential
-// pipeline and errors on the first divergence.
-func verifyEngine(nodes []network.Node, res *mldcs.EngineResult) error {
+// pipeline and errors on the first divergence from the published view.
+func verifyEngine(nodes []network.Node, v *engine.View) error {
 	g, err := mldcs.BuildNetwork(nodes, mldcs.Bidirectional)
 	if err != nil {
 		return err
@@ -151,14 +136,8 @@ func verifyEngine(nodes []network.Node, res *mldcs.EngineResult) error {
 		for i, idx := range fwd {
 			want[i] = ids[idx]
 		}
-		got := res.Forwarding[u]
-		if len(got) != len(want) {
+		if got := v.Forwarding(u); !slices.Equal(got, want) {
 			return fmt.Errorf("verify: node %d forwarding %v != sequential %v", u, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("verify: node %d forwarding %v != sequential %v", u, got, want)
-			}
 		}
 	}
 	return nil

@@ -60,7 +60,7 @@ func main() {
 		engNodes   = flag.Int("nodes", 10000, "with -engine: target network size")
 		engDegree  = flag.Float64("degree", 10, "with -engine: target mean 1-hop degree")
 		engModel   = flag.String("model", "heterogeneous", "with -engine: radius model (homogeneous|heterogeneous)")
-		engSteps   = flag.Int("steps", 0, "with -engine: random-waypoint steps through the incremental path")
+		engSteps   = flag.Int("steps", 0, "with -engine: small-move steps through the incremental Apply path")
 		engVerify  = flag.Bool("verify", false, "with -engine: cross-check output against the sequential per-node pipeline")
 		engCont    = flag.Float64("contention", 0, "with -engine: zipf contention exponent — skew placement and movers into hotspots (0 = uniform)")
 		engHot     = flag.Int("hotspots", 8, "with -engine: hotspot cluster count when -contention > 0")

@@ -73,6 +73,26 @@ func TestRunDemoSmoke(t *testing.T) {
 	}
 }
 
+// TestRunEngine drives -engine mode at about 400 nodes through 3
+// small-move steps with verification on, uniform (contention 0) and
+// zipf-skewed (1.2): runEngine checks the Compute and every Apply-driven
+// step element for element against the sequential per-node pipeline and
+// fails on the first divergence.
+func TestRunEngine(t *testing.T) {
+	for _, contention := range []float64{0, 1.2} {
+		err := runEngine(engineOpts{
+			nodes: 400, degree: 10, model: "heterogeneous", workers: 2,
+			steps: 3, verify: true, contention: contention, hotspots: 8, seed: 1,
+		})
+		if err != nil {
+			t.Errorf("contention %g: %v", contention, err)
+		}
+	}
+	if err := runEngine(engineOpts{nodes: 400, degree: 10, model: "nope"}); err == nil {
+		t.Error("unknown -model must fail")
+	}
+}
+
 // TestSetupObs drives the observability wiring end to end: instrument,
 // run an analysis (which broadcasts), finish, and check both artifacts.
 func TestSetupObs(t *testing.T) {

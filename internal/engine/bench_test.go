@@ -21,14 +21,48 @@ import (
 	"repro/internal/skyline"
 )
 
-// benchDeployment builds a heterogeneous deployment of ≈ n nodes at the
-// paper's density (mean degree 10) by scaling the region.
-func benchDeployment(n int, seed int64) ([]network.Node, float64, error) {
+// benchConfig is the paper's heterogeneous deployment (mean degree 10)
+// with its region scaled to hold ≈ n nodes.
+func benchConfig(n int) deploy.Config {
 	const degree = 10
 	cfg := deploy.PaperConfig(deploy.Heterogeneous, degree)
 	cfg.Side = math.Sqrt(float64(n) * math.Pi * cfg.ExpectedMinRadiusSq() / degree)
+	return cfg
+}
+
+// benchDeployment builds a heterogeneous deployment of ≈ n nodes at the
+// paper's density (mean degree 10) by scaling the region.
+func benchDeployment(n int, seed int64) ([]network.Node, float64, error) {
+	cfg := benchConfig(n)
 	nodes, err := deploy.Generate(cfg, rand.New(rand.NewSource(seed)))
 	return nodes, cfg.Side, err
+}
+
+// benchMovers is the small-move process every incremental bench drives
+// Apply with: benchConfig(n)'s deployment, where each move drifts a node by
+// at most 2% of its radius per axis. At contention 0 it places exactly
+// benchDeployment(n, seed)'s nodes and picks movers uniformly (one
+// rng.Intn, then two Float64s per move); above 0 both placement and movers
+// skew into 8 zipf-weighted hotspots.
+func benchMovers(n int, contention float64, seed int64) (*mobility.HotspotWorkload, error) {
+	return mobility.NewHotspotWorkload(mobility.HotspotConfig{
+		Deploy:     benchConfig(n),
+		Hotspots:   8,
+		Contention: contention,
+		Spread:     0.6,
+		MoveFrac:   0.02,
+	}, rand.New(rand.NewSource(seed)))
+}
+
+// moveDeltas refills ds with the Apply deltas of the moved slots: each
+// slot's current state in nodes, under key = slot as Compute assigns it.
+func moveDeltas(ds []Delta, nodes []network.Node, moved []int) []Delta {
+	ds = ds[:0]
+	for _, u := range moved {
+		n := nodes[u]
+		ds = append(ds, Delta{Slot: u, Key: int64(u), Pos: n.Pos, Radius: n.Radius})
+	}
+	return ds
 }
 
 // benchSequential is the per-node baseline the engine is measured against.
@@ -88,110 +122,57 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineUpdate measures the incremental path: one random-waypoint
-// step dirties a subset of the network, and Update recomputes only that.
-func BenchmarkEngineUpdate(b *testing.B) {
-	const n = 10000
-	nodes, side, err := benchDeployment(n, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	model, err := mobility.NewModel(mobility.WaypointConfig{
-		Side: side, SpeedMin: 0.5, SpeedMax: 1.5, PauseMax: 5,
-	}, nodes, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := New(Config{})
-	if _, err := e.Compute(nodes); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model.Step(0.05)
-		if _, err := e.Update(model.Nodes()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineUpdateKinetic measures one pure-mobility tick (≈1% of
-// nodes drift by ≤2% of their own radius) with the kinetic repair path on
-// and off — the microbenchmark behind the report's update section.
-func BenchmarkEngineUpdateKinetic(b *testing.B) {
-	const n = 20000
-	nodes, _, err := benchDeployment(n, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, disable := range []bool{false, true} {
-		b.Run(fmt.Sprintf("repair=%v", !disable), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			cur := append([]network.Node(nil), nodes...)
-			e := New(Config{Workers: 1, DisableRepair: disable})
-			if _, err := e.Compute(cur); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				smallMoveStep(rng, cur, 1+n/100, 0.02)
-				if _, err := e.Update(cur); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkApply measures one incremental pass through Apply at 100k
-// nodes, on one worker and on two. movers=k: k random nodes slide by ≤2%
-// of their radius (k=20 is one batch of the mldcsd mobility-100k service
-// workload, k=320 a full coalesced group of 16 such batches). churn: 2
-// nodes leave and 2 join elsewhere in the freed slots, one batch of the
-// churn-5k workload. B/op is dominated by publishing: the copied pages of
-// the dirty nodes plus the page directory. kin-B/node is the kinetic
-// state's footprint per slot after the sub-benchmark's passes.
+// nodes: on one worker and on two, and on one worker with DisableRepair,
+// the baseline kinetic repair is measured against. movers=k: k nodes of
+// benchMovers' uniform process slide by ≤2% of their radius (k=20 is one
+// batch of the mldcsd mobility-100k service workload, k=320 a full
+// coalesced group of 16 such batches). churn: 2 nodes leave and 2 join
+// elsewhere in the freed slots, one batch of the churn-5k workload. B/op
+// is dominated by publishing: the copied pages of the dirty nodes plus the
+// page directory. kin-B/node is the kinetic state's footprint per slot
+// after the sub-benchmark's passes.
+//
+// An A/B of the churn cell needs at least 3000 passes (-benchtime=3000x).
+// A few hundred passes last about 0.1 s, so where a GC mark phase lands
+// decides the reading: in the lean-kinetic-state A/B (docs/PERFORMANCE.md)
+// the two-worker churn cell read 0.306 → 0.376 ms at 300x, slower in 10 of
+// 10 pairs, but 0.338 → 0.314 ms at 3000x.
 func BenchmarkApply(b *testing.B) {
 	const n = 100000
-	nodes, side, err := benchDeployment(n, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchApply(b, nodes, side, workers)
-		})
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"workers=1", Config{Workers: 1}},
+		{"workers=2", Config{Workers: 2}},
+		{"workers=1/repair=off", Config{Workers: 1, DisableRepair: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchApply(b, n, c.cfg) })
 	}
 }
 
 // benchApply runs BenchmarkApply's passes on one engine with the given
-// worker count.
-func benchApply(b *testing.B, nodes []network.Node, side float64, workers int) {
-	n := len(nodes)
-	e := New(Config{Workers: workers})
+// configuration.
+func benchApply(b *testing.B, n int, cfg Config) {
+	w, err := benchMovers(n, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := w.Nodes()
+	e := New(cfg)
 	if _, err := e.Compute(nodes); err != nil {
 		b.Fatal(err)
 	}
-	cur := make([]Delta, n)
-	for i, nd := range nodes {
-		cur[i] = Delta{Slot: i, Key: int64(i), Pos: nd.Pos, Radius: nd.Radius}
-	}
 	rng := rand.New(rand.NewSource(3))
+	var ds []Delta
 	for _, k := range []int{20, 320} {
 		b.Run(fmt.Sprintf("movers=%d", k), func(b *testing.B) {
-			moved := make([]Delta, k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range moved {
-					u := rng.Intn(n)
-					step := 0.02 * cur[u].Radius
-					cur[u].Pos.X += (rng.Float64()*2 - 1) * step
-					cur[u].Pos.Y += (rng.Float64()*2 - 1) * step
-					moved[j] = cur[u]
-				}
-				if _, err := e.Apply(moved); err != nil {
+				ds = moveDeltas(ds, nodes, w.Step(k, rng))
+				if _, err := e.Apply(ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -199,18 +180,18 @@ func benchApply(b *testing.B, nodes []network.Node, side float64, workers int) {
 		})
 	}
 	b.Run("churn", func(b *testing.B) {
+		side := benchConfig(n).Side
 		ds := make([]Delta, 4)
-		key := int64(n)
+		key := int64(len(nodes))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < 2; j++ {
-				u := rng.Intn(n)
+				u := rng.Intn(len(nodes))
 				key++
-				cur[u].Key = key
-				cur[u].Pos = geom.Pt(rng.Float64()*side, rng.Float64()*side)
+				nodes[u].Pos = geom.Pt(rng.Float64()*side, rng.Float64()*side)
 				ds[2*j] = Delta{Slot: u, Leave: true}
-				ds[2*j+1] = cur[u]
+				ds[2*j+1] = Delta{Slot: u, Key: key, Pos: nodes[u].Pos, Radius: nodes[u].Radius}
 			}
 			if _, err := e.Apply(ds); err != nil {
 				b.Fatal(err)
@@ -302,15 +283,13 @@ func TestEngineBenchReport(t *testing.T) {
 	}
 	report.Workloads = append(report.Workloads, benchWorkload(t, "grid-homogeneous", grid, workers))
 
-	// Update workload: a pure-mobility tick stream (≈1% of nodes drift a
-	// little each tick) replayed twice from identical precomputed move
-	// scripts — once with kinetic repair, once with DisableRepair — so the
-	// two rows differ only in the Update strategy.
-	ticks := 40
+	// Update section: 40 Apply passes of benchMovers' uniform process over
+	// the same deployment (≈1% of nodes drift a little each pass), run
+	// twice from the same seeds — once with kinetic repair, once with
+	// DisableRepair — so the two rows differ only in the repair strategy.
 	movedPerTick := 1 + n/100
-	scripts := benchUpdateScripts(nodes, ticks, movedPerTick, 3)
-	repair := benchUpdateRun(t, "update-repair", nodes, scripts, workers, false)
-	recomp := benchUpdateRun(t, "update-recompute", nodes, scripts, workers, true)
+	repair := benchUpdateRun(t, "update-repair", n, movedPerTick, Config{Workers: workers})
+	recomp := benchUpdateRun(t, "update-recompute", n, movedPerTick, Config{Workers: workers, DisableRepair: true})
 	if repair.TickP50MS > 0 {
 		repair.SpeedupP50 = recomp.TickP50MS / repair.TickP50MS
 	}
@@ -320,7 +299,7 @@ func TestEngineBenchReport(t *testing.T) {
 	report.Update = append(report.Update, repair, recomp)
 
 	// Scaling section: uniform-random Compute plus a zipf-contended
-	// Update stream at 1/2/4/8/16 workers, speedups relative to the
+	// stream of Apply passes at 1/2/4/8/16 workers, speedups relative to the
 	// 1-worker row. Worker counts beyond GOMAXPROCS still run (the pool
 	// time-slices them), so the section is populated — and honest, since
 	// the machine fields record the real parallelism cap — even on a
@@ -397,10 +376,10 @@ func benchWorkload(t *testing.T, name string, nodes []network.Node, workers int)
 	return e
 }
 
-// benchUpdateEntry is one row of the report's update section: tick-latency
-// quantiles for a pure-mobility Update stream under one repair strategy.
-// speedup_p50/p99 are filled only on the repair row (repair vs recompute on
-// the identical move script).
+// benchUpdateEntry is one row of the report's update section: pass-latency
+// quantiles for a pure-mobility stream of Apply passes under one repair
+// strategy. speedup_p50/p99 are filled only on the repair row (repair vs
+// recompute on the identical moves).
 type benchUpdateEntry struct {
 	Workload        string  `json:"workload"`
 	Nodes           int     `json:"nodes"`
@@ -414,75 +393,52 @@ type benchUpdateEntry struct {
 	RepairFallbacks int     `json:"repair_fallbacks"`
 	SpeedupP50      float64 `json:"speedup_p50,omitempty"`
 	SpeedupP99      float64 `json:"speedup_p99,omitempty"`
-	// Worst-tick worker imbalance (max/mean nodes) across the run's
-	// Update passes.
+	// Worst-pass worker imbalance (max/mean nodes) across the run.
 	WorkerImbalance float64 `json:"worker_imbalance,omitempty"`
 }
 
-// moveOp is one scripted displacement: node idx ends the tick at pos. The
-// scripts carry absolute positions (the random walk is simulated once up
-// front), so replaying them against two engines yields bit-identical node
-// states regardless of replay order or strategy.
-type moveOp struct {
-	idx int
-	pos geom.Point
-}
+// benchUpdateTicks is how many Apply passes each update row times.
+const benchUpdateTicks = 40
 
-// benchUpdateScripts precomputes ticks' worth of small-move mobility:
-// each tick, moved random nodes drift by at most 2% of their own radius.
-func benchUpdateScripts(nodes []network.Node, ticks, moved int, seed int64) [][]moveOp {
-	rng := rand.New(rand.NewSource(seed))
-	cur := append([]network.Node(nil), nodes...)
-	scripts := make([][]moveOp, ticks)
-	for t := range scripts {
-		ops := make([]moveOp, moved)
-		for i := range ops {
-			u := rng.Intn(len(cur))
-			step := 0.02 * cur[u].Radius
-			cur[u].Pos.X += (rng.Float64()*2 - 1) * step
-			cur[u].Pos.Y += (rng.Float64()*2 - 1) * step
-			ops[i] = moveOp{idx: u, pos: cur[u].Pos}
-		}
-		scripts[t] = ops
-	}
-	return scripts
-}
-
-// benchUpdateRun replays the move scripts against one engine configuration
-// and reports tick-latency quantiles plus the accumulated kinetic counters.
-func benchUpdateRun(t *testing.T, name string, nodes []network.Node, scripts [][]moveOp, workers int, disableRepair bool) benchUpdateEntry {
+// benchUpdateRun drives one engine configuration through benchUpdateTicks
+// passes of benchMovers' uniform process (deployment seed 1, mover seed 3)
+// and reports pass-latency quantiles plus the accumulated kinetic
+// counters.
+func benchUpdateRun(t *testing.T, name string, n, movers int, cfg Config) benchUpdateEntry {
 	t.Helper()
-	cur := append([]network.Node(nil), nodes...)
-	e := New(Config{Workers: workers, DisableRepair: disableRepair})
-	if _, err := e.Compute(cur); err != nil {
+	w, err := benchMovers(n, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := w.Nodes()
+	e := New(cfg)
+	if _, err := e.Compute(nodes); err != nil {
 		t.Fatal(err)
 	}
 	entry := benchUpdateEntry{
-		Workload: name,
-		Nodes:    len(nodes),
-		Workers:  workers,
-		Ticks:    len(scripts),
+		Workload:     name,
+		Nodes:        len(nodes),
+		Workers:      cfg.Workers,
+		MovedPerTick: movers,
+		Ticks:        benchUpdateTicks,
 	}
-	ticksMS := make([]float64, 0, len(scripts))
-	for _, ops := range scripts {
-		if entry.MovedPerTick == 0 {
-			entry.MovedPerTick = len(ops)
-		}
-		for _, op := range ops {
-			cur[op.idx].Pos = op.pos
-		}
+	rng := rand.New(rand.NewSource(3))
+	var ds []Delta
+	ticksMS := make([]float64, 0, benchUpdateTicks)
+	for i := 0; i < benchUpdateTicks; i++ {
+		ds = moveDeltas(ds, nodes, w.Step(movers, rng))
 		start := time.Now()
-		res, err := e.Update(cur)
+		v, err := e.Apply(ds)
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ticksMS = append(ticksMS, float64(elapsed.Microseconds())/1000)
-		entry.Repaired += res.Stats.Repaired
-		entry.Recomputed += res.Stats.Recomputed
-		entry.RepairFallbacks += res.Stats.RepairFallbacks
-		if res.Stats.WorkerImbalance > entry.WorkerImbalance {
-			entry.WorkerImbalance = res.Stats.WorkerImbalance
+		entry.Repaired += v.Stats.Repaired
+		entry.Recomputed += v.Stats.Recomputed
+		entry.RepairFallbacks += v.Stats.RepairFallbacks
+		if v.Stats.WorkerImbalance > entry.WorkerImbalance {
+			entry.WorkerImbalance = v.Stats.WorkerImbalance
 		}
 	}
 	sort.Float64s(ticksMS)
@@ -493,9 +449,9 @@ func benchUpdateRun(t *testing.T, name string, nodes []network.Node, scripts [][
 
 // benchScalingEntry is one worker count's row in the report's scaling
 // section: uniform-random Compute wall time (median of 3) with its
-// speedup vs the 1-worker row, plus a zipf-contended Update stream's tick
-// quantiles — the workload whose hot cells the shared batch cursor must
-// spread over the workers.
+// speedup vs the 1-worker row, plus a zipf-contended stream of Apply
+// passes' latency quantiles — the workload whose hot cells the shared
+// batch cursor must spread over the workers.
 type benchScalingEntry struct {
 	Workers         int     `json:"workers"`
 	ComputeMS       float64 `json:"compute_ms"`
@@ -546,26 +502,19 @@ func benchScaling(t *testing.T, nodes []network.Node, n int) []benchScalingEntry
 	return out
 }
 
-// benchZipfUpdate runs a zipf-contended (hotspot) mobility stream against
-// one worker count and fills the entry's zipf fields. The same seed drives
-// every worker count, so all rows measure the identical workload.
+// benchZipfUpdate drives benchMovers' zipf-contended process (contention
+// 1.2, deployment seed 5, mover seed 6) through Apply on one worker count
+// and fills the entry's zipf fields. The same seeds drive every worker
+// count, so all rows measure the identical workload.
 func benchZipfUpdate(t *testing.T, e *benchScalingEntry, n, workers int) {
 	t.Helper()
-	const degree = 10
-	dcfg := deploy.PaperConfig(deploy.Heterogeneous, degree)
-	dcfg.Side = math.Sqrt(float64(n) * math.Pi * dcfg.ExpectedMinRadiusSq() / degree)
-	w, err := mobility.NewHotspotWorkload(mobility.HotspotConfig{
-		Deploy:     dcfg,
-		Hotspots:   8,
-		Contention: 1.2,
-		Spread:     0.6,
-		MoveFrac:   0.02,
-	}, rand.New(rand.NewSource(5)))
+	w, err := benchMovers(n, 1.2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes := w.Nodes()
 	eng := New(Config{Workers: workers})
-	res, err := eng.Compute(w.Nodes())
+	res, err := eng.Compute(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,17 +522,18 @@ func benchZipfUpdate(t *testing.T, e *benchScalingEntry, n, workers int) {
 	const ticks = 15
 	movers := 1 + e.ZipfNodes/100
 	mrng := rand.New(rand.NewSource(6))
+	var ds []Delta
 	ticksMS := make([]float64, 0, ticks)
 	for i := 0; i < ticks; i++ {
-		w.Step(movers, mrng)
+		ds = moveDeltas(ds, nodes, w.Step(movers, mrng))
 		start := time.Now()
-		res, err = eng.Update(w.Nodes())
+		v, err := eng.Apply(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ticksMS = append(ticksMS, float64(time.Since(start).Microseconds())/1000)
-		if res.Stats.WorkerImbalance > e.ZipfImbalance {
-			e.ZipfImbalance = res.Stats.WorkerImbalance
+		if v.Stats.WorkerImbalance > e.ZipfImbalance {
+			e.ZipfImbalance = v.Stats.WorkerImbalance
 		}
 	}
 	sort.Float64s(ticksMS)

@@ -39,10 +39,11 @@ type Config struct {
 	// GOMAXPROCS.
 	Workers int
 	// DisableRepair turns off the kinetic repair fast path: every dirty
-	// node in Update recomputes its skyline from scratch, as the engine
-	// did before repair existed. For benchmarking (the BENCH_engine.json
-	// update section measures repair against exactly this baseline) and
-	// for bisecting a suspected repair bug in production.
+	// node of an Apply pass recomputes its skyline from scratch, as the
+	// engine did before repair existed. For benchmarking (BenchmarkApply's
+	// repair=off cells and the BENCH_engine.json update-recompute row
+	// measure repair against exactly this baseline) and for bisecting a
+	// suspected repair bug in production.
 	DisableRepair bool
 
 	// Deprecated: the engine has no skyline cache any more; Cache is
@@ -65,7 +66,8 @@ type Delta struct {
 	Leave  bool
 }
 
-// Stats summarizes one Compute, Update or Apply pass.
+// Stats summarizes one pass: a bulk Compute or an incremental Apply
+// (Update runs an Apply pass).
 type Stats struct {
 	Nodes   int // present nodes in the network
 	Edges   int // directed neighbor entries (sum of out-degrees)
@@ -82,8 +84,7 @@ type Stats struct {
 	// were given the always-correct full local set instead — a degenerate
 	// input degrades to a bigger forwarding set, never a wrong one.
 	Fallbacks int
-	// Kinetic accounting of an Apply pass (Update's included; zero on a
-	// full Compute). Every dirty node is either Repaired (its kinetic
+	// Kinetic accounting of an Apply pass (zero on a full Compute). Every dirty node is either Repaired (its kinetic
 	// state's skyline was patched in place by arc surgery) or Recomputed
 	// (full skyline recompute: the node itself moved, its kinetic state
 	// was invalid, the neighborhood diff was too large, or a repair was
@@ -262,7 +263,7 @@ func (e *Engine) bulk() *View {
 	e.stats = Stats{Nodes: e.live}
 	e.fallbacks.Store(0)
 	// Invalidate (but keep) the kinetic state: per-node buffers persist
-	// across passes so a steady Compute/Update cadence stays allocation-free.
+	// across passes so a steady Compute/Apply cadence stays allocation-free.
 	if cap(e.kin) >= n {
 		e.kin = e.kin[:n]
 		for i := range e.kin {

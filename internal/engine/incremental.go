@@ -12,10 +12,13 @@ import (
 )
 
 // Update advances the engine to new node states without redoing the whole
-// network: it diffs the node slice against the engine's current state and
-// hands the changed nodes to Apply. This is the consumption path for
-// internal/mobility deltas — step the model, hand the fresh snapshot to
-// Update.
+// network: it diffs all N nodes against the engine's current state, hands
+// the changed ones to Apply and renders the flat Result, so a pass costs
+// O(N) where Apply alone costs O(changed + dirty). A caller that knows
+// which slots changed calls Apply; every driver in this module does,
+// except the service benchmark's replay (svcbench/trace.go), which is the
+// one reason Update stays exported. The differential tests use it to feed
+// whole node slices.
 //
 // The node count must match the engine's slot range and node i is slot i
 // under key i, as Compute assigns them; positions and radii may change.

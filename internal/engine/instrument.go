@@ -24,10 +24,10 @@ const (
 	MetricDirtyNodes      = "engine_dirty_nodes"
 	MetricDirtyFraction   = "engine_dirty_fraction"
 	MetricFallbacks       = "engine_fallback_total"
-	// Kinetic repair accounting (Update only): dirty nodes whose skyline
-	// was patched in place, dirty nodes fully recomputed, repairs abandoned
-	// mid-surgery (tie or invariant trip — a subset of the recomputes), and
-	// the per-node latency of successful repairs.
+	// Kinetic repair accounting (Apply passes only): dirty nodes whose
+	// skyline was patched in place, dirty nodes fully recomputed, repairs
+	// abandoned mid-surgery (tie or invariant trip — a subset of the
+	// recomputes), and the per-node latency of successful repairs.
 	MetricRepairTotal         = "engine_repair_total"
 	MetricRecomputeTotal      = "engine_recompute_total"
 	MetricRepairFallbackTotal = "engine_repair_fallback_total"
@@ -38,7 +38,7 @@ const (
 	EventFallback = "engine_fallback"
 
 	// Span kinds emitted by this package (see obs.SpanTracer): one span per
-	// whole-network Compute pass, one per incremental Update tick, one per
+	// whole-network Compute pass, one per incremental Apply pass, one per
 	// worker cell batch inside either pass, and one per per-node recompute.
 	SpanCompute = "engine_compute"
 	SpanUpdate  = "engine_update"
@@ -62,8 +62,8 @@ type engMetrics struct {
 	// Worker-pool load balance: the last multi-worker pass's max/mean
 	// nodes per worker.
 	workerImbalance *obs.Gauge
-	// dirtyNodes is the per-Update dirty-set size distribution;
-	// dirtyFraction the last Update's dirty share of the network, the
+	// dirtyNodes is the dirty-set size distribution of incremental passes;
+	// dirtyFraction the last one's dirty share of the network, the
 	// quantity that makes incremental recompute worthwhile.
 	dirtyNodes    *obs.Histogram
 	dirtyFraction *obs.Gauge

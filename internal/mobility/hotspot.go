@@ -3,6 +3,7 @@ package mobility
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/deploy"
 	"repro/internal/geom"
@@ -13,9 +14,10 @@ import (
 // engine's worker pool: node placement concentrated in zipf-weighted
 // hotspot clusters (so a few grid cells hold most of the network) and a
 // mover process that draws from the same skew (so the dirty set of every
-// Update tick lands in the hot cells too). Contention = 0 is defined to be
-// byte-for-byte the existing uniform workload — same deployment draws,
-// same mover draws — so sweeps can treat the knob as a pure skew dial.
+// incremental pass lands in the hot cells too). Contention = 0 is defined
+// to be byte-for-byte the existing uniform workload — same deployment
+// draws, same mover draws — so drivers can treat the knob as a pure skew
+// dial.
 
 // HotspotConfig parameterizes a zipf-skewed hotspot workload.
 type HotspotConfig struct {
@@ -66,6 +68,7 @@ type HotspotWorkload struct {
 	nodes   []network.Node
 	zipf    *Zipf   // nil when Contention == 0
 	members [][]int // node indices per hotspot rank (rank 0 hottest)
+	moved   []int   // the slots the last Step moved
 }
 
 // NewHotspotWorkload generates the deployment. At Contention == 0 it
@@ -131,7 +134,8 @@ func drawRadius(c deploy.Config, rng *rand.Rand) float64 {
 
 // Nodes returns the workload's current node states. The slice is live —
 // Step mutates it in place — so callers that need a stable snapshot must
-// copy it. engine.Update copies what it needs and is safe to feed directly.
+// copy it. An engine that computed these nodes once stays in step by
+// taking only the slots each Step returns.
 func (w *HotspotWorkload) Nodes() []network.Node { return w.nodes }
 
 // PickMover draws the next node to move. At contention 0 this is one
@@ -152,11 +156,20 @@ func (w *HotspotWorkload) PickMover(rng *rand.Rand) int {
 
 // Step moves `movers` nodes in place: each move is one PickMover draw
 // followed by one SmallMoveStep. At contention 0 the whole tick consumes
-// the rng exactly like the uniform small-move workload.
-func (w *HotspotWorkload) Step(movers int, rng *rand.Rand) {
+// the rng exactly like the uniform small-move workload. It returns the
+// nodes whose state changed — each moved slot once, in the order it first
+// moved — which is what an incremental engine pass takes as its deltas.
+// The returned slice is reused by the next Step.
+func (w *HotspotWorkload) Step(movers int, rng *rand.Rand) []int {
+	w.moved = w.moved[:0]
 	for i := 0; i < movers; i++ {
-		SmallMoveStep(w.nodes, w.PickMover(rng), w.cfg.MoveFrac, rng)
+		u := w.PickMover(rng)
+		SmallMoveStep(w.nodes, u, w.cfg.MoveFrac, rng)
+		if !slices.Contains(w.moved, u) {
+			w.moved = append(w.moved, u)
+		}
 	}
+	return w.moved
 }
 
 // SmallMoveStep perturbs node u in place by a drift uniform in

@@ -3,6 +3,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/deploy"
@@ -99,7 +100,8 @@ func TestZipfUniformAtZero(t *testing.T) {
 }
 
 // TestHotspotDeterminism: a fixed seed reproduces the deployment and the
-// whole mover trajectory exactly.
+// whole mover trajectory exactly, and every Step returns exactly the
+// nodes whose state it changed, each once.
 func TestHotspotDeterminism(t *testing.T) {
 	for _, contention := range []float64{0, 0.8, 1.5} {
 		run := func(seed int64) []float64 {
@@ -110,7 +112,18 @@ func TestHotspotDeterminism(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + 1))
 			var trace []float64
 			for tick := 0; tick < 5; tick++ {
-				w.Step(20, rng)
+				before := slices.Clone(w.Nodes())
+				moved := slices.Clone(w.Step(20, rng))
+				slices.Sort(moved)
+				var changed []int
+				for i, n := range w.Nodes() {
+					if n != before[i] {
+						changed = append(changed, i)
+					}
+				}
+				if !slices.Equal(moved, changed) {
+					t.Fatalf("contention %g tick %d: Step returned %v, changed nodes %v", contention, tick, moved, changed)
+				}
 				for _, n := range w.Nodes() {
 					trace = append(trace, n.Pos.X, n.Pos.Y, n.Radius)
 				}
@@ -126,8 +139,8 @@ func TestHotspotDeterminism(t *testing.T) {
 	}
 }
 
-// TestHotspotContentionZeroIsUniform pins the contract the sweep driver
-// relies on: contention 0 is the existing uniform workload byte-for-byte —
+// TestHotspotContentionZeroIsUniform pins the contract the engine benches
+// rely on: contention 0 is the existing uniform workload byte-for-byte —
 // identical deployment draws and identical mover draws.
 func TestHotspotContentionZeroIsUniform(t *testing.T) {
 	const seed = 11
@@ -166,7 +179,7 @@ func TestHotspotContentionZeroIsUniform(t *testing.T) {
 }
 
 // TestHotspotSkewConcentrates checks the placement skew does what the
-// sweep needs: with high contention, the hottest cluster holds far more
+// contended benchmarks need: with high contention, the hottest cluster holds far more
 // than the uniform share of the nodes.
 func TestHotspotSkewConcentrates(t *testing.T) {
 	cfg := hotspotConfig(1.5)

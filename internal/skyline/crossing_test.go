@@ -94,8 +94,8 @@ func localSets(t *testing.T, nodes []network.Node) [][]geom.Disk {
 }
 
 // scaledConfig is the paper's deployment with the square scaled to hold n
-// nodes at mean degree 10, as the service benchmark and cmd/mldcsbench
-// scale it.
+// nodes at mean degree 10, as the service benchmark and the engine
+// benchmarks scale it.
 func scaledConfig(model deploy.RadiusModel, n int) deploy.Config {
 	cfg := deploy.PaperConfig(model, 10)
 	cfg.Side = math.Sqrt(float64(n) * math.Pi * cfg.ExpectedMinRadiusSq() / cfg.MeanDegree)

@@ -101,7 +101,8 @@ type (
 )
 
 // NewEngine returns a whole-network MLDCS engine. Compute solves the full
-// network; Update consumes movement deltas and recomputes only the dirtied
+// network; Update takes the whole node slice after nodes moved, diffs it
+// against the engine's state, and recomputes only the dirtied
 // neighborhoods.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
