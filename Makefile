@@ -113,6 +113,7 @@ fuzz:
 	go test -fuzz=FuzzMergeAgainstNaive -fuzztime=60s -fuzzminimizetime=1s ./internal/skyline/
 	go test -fuzz=FuzzKineticRepair -fuzztime=60s -fuzzminimizetime=1s ./internal/skyline/
 	go test -fuzz=FuzzCrossingAngles -fuzztime=60s -fuzzminimizetime=1s ./internal/skyline/
+	go test -fuzz=FuzzSpanBounds -fuzztime=60s -fuzzminimizetime=1s ./internal/skyline/
 	go test -fuzz=FuzzSelectorInvariants -fuzztime=60s -fuzzminimizetime=1s ./internal/forwarding/
 	go test -fuzz=FuzzEngineVsSequential -fuzztime=60s -fuzzminimizetime=1s ./internal/engine/
 	go test -fuzz=FuzzDeltaDecode -fuzztime=60s -fuzzminimizetime=1s ./internal/mldcsd/
@@ -123,6 +124,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzMergeAgainstNaive -fuzztime=10s -fuzzminimizetime=1s ./internal/skyline/
 	go test -run='^$$' -fuzz=FuzzKineticRepair -fuzztime=10s -fuzzminimizetime=1s ./internal/skyline/
 	go test -run='^$$' -fuzz=FuzzCrossingAngles -fuzztime=10s -fuzzminimizetime=1s ./internal/skyline/
+	go test -run='^$$' -fuzz=FuzzSpanBounds -fuzztime=10s -fuzzminimizetime=1s ./internal/skyline/
 	go test -run='^$$' -fuzz=FuzzSelectorInvariants -fuzztime=10s -fuzzminimizetime=1s ./internal/forwarding/
 	go test -run='^$$' -fuzz=FuzzEngineVsSequential -fuzztime=10s -fuzzminimizetime=1s ./internal/engine/
 	go test -run='^$$' -fuzz=FuzzDeltaDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/mldcsd/

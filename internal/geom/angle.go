@@ -87,6 +87,56 @@ func MayBeStrictlyInSpan(p Point, a, b float64) bool {
 	return octantBounds[k+1] > a && octantBounds[k] < b
 }
 
+// SpanBand is the half-width, in radians, of the band around a span's
+// ends inside which SpanSide takes no side. It is twice AngleEps, the
+// margin of AngleInSpan, and about 10^6 times the rounding error of the
+// cross products and of an atan2, so outside it the two tests cannot
+// disagree.
+const SpanBand = 2 * AngleEps
+
+// SpanSideMin is the smallest ‖v‖₁ SpanSide places. Above it the cross
+// products keep full precision; below it they would round in the
+// subnormal range, and SpanSide reports 0.
+const SpanSideMin = 0x1p-870
+
+// SpanSide places the direction of v against the linear span [a, b]
+// (0 ≤ a ≤ b ≤ 2π), given the unit vectors ea = Unit(a) and eb = Unit(b)
+// of its ends: +1 when v points into the span by more than SpanBand from
+// either end, −1 when it points outside by more than SpanBand, and 0 in
+// between, which includes a v shorter than SpanSideMin and non-finite
+// products. Outside the band it agrees with AngleInSpan(v.Angle(), a, b),
+// from two cross products and at most two dot products instead of an
+// atan2: ea × v and v × eb are ‖v‖ times the sines of the angles from a
+// to v and from v to b (docs/NUMERICS.md, "Span bounds"). A caller that
+// needs AngleInSpan's exact answer takes the atan2 only on a 0.
+func SpanSide(v, ea, eb Point, a, b float64) int {
+	n1 := math.Abs(v.X) + math.Abs(v.Y)
+	if !(n1 >= SpanSideMin) {
+		return 0
+	}
+	sa, sb := ea.Cross(v), v.Cross(eb)
+	tol := SpanBand * n1
+	wide := b-a > math.Pi
+	switch {
+	case !wide && (sa < -tol || sb < -tol), wide && sa < -tol && sb < -tol:
+		// A span of at most π lies left of ea and right of eb; a wider
+		// one is the complement of an arc narrower than π that lies
+		// right of ea and left of eb.
+		return -1
+	case !wide && sa > tol && sb > tol, wide && (sa > tol || sb > tol):
+		return +1
+	case ea.Dot(v) < 0 && eb.Dot(v) < 0:
+		// A sine near zero is also an angle near π. v is then more than
+		// π/2 from both ends, while every direction of a narrow span and
+		// every direction outside a wide one lies within π/2 of an end.
+		if wide {
+			return +1
+		}
+		return -1
+	}
+	return 0
+}
+
 func b2i(b bool) int {
 	if b {
 		return 1

@@ -38,11 +38,13 @@ import (
 // It is mergeInto with a full-circle one-arc second input, minus the
 // breakpoint pass (the union of breakpoints is exactly sl's) and plus an
 // envelope-bound prune: an arc whose owner stays strictly above the new
-// disk's global maximum ray distance (beyond RhoEps, via RhoCmp) cannot be
-// crossed, tied, or taken over anywhere on the arc, so it is copied
-// through without any crossing analysis. The prune is what makes a
+// disk's maximum ray distance over the arc (beyond RhoEps, via RhoCmp)
+// cannot be crossed, tied, or taken over anywhere on the arc, so it is
+// copied through without any crossing analysis. The prune is what makes a
 // small-move repair cheap: a moved neighbor contends with two or three
-// arcs of the cached skyline, not all of them.
+// arcs of the cached skyline, not all of them. Bounding the new disk over
+// the arc alone, not over the whole circle (spanCeil), is what keeps the
+// arcs on the far side of a large disk out of the fight.
 //
 //mldcs:hotpath
 func (sc *Scratch) InsertDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, ins int, tie *bool) Skyline {
@@ -63,13 +65,7 @@ func (sc *Scratch) InsertDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, in
 			}
 			continue
 		}
-		w := disks[arc.Disk]
-		// Cheap global bound first (no trig), then the exact per-span
-		// minimum. RhoCmp < 0 means the new disk tops out more than RhoEps
-		// below the owner's floor: no tie is possible, the outcome is
-		// forced, and skipping resolveSpan changes nothing.
-		if geom.RhoCmp(dmax, w.R-w.C.Norm()) < 0 ||
-			geom.RhoCmp(dmax, spanFloor(w, arc.Start, arc.End)) < 0 {
+		if sc.dominated(disks[arc.Disk], d, dmax, arc.Start, arc.End) {
 			if im != nil {
 				im.case0.Inc()
 			}
@@ -87,18 +83,64 @@ func (sc *Scratch) InsertDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, in
 	return combineInPlace(out)
 }
 
-// spanFloor returns the minimum ray distance of d over the span [a, b].
-// ρ_d is circularly unimodal — one maximum toward the center, one minimum
-// directly away from it — so the span minimum is r − ‖c‖ when the span
-// contains the away angle and the smaller endpoint value otherwise.
-func spanFloor(d geom.Disk, a, b float64) float64 {
-	opp := geom.NormalizeAngle(d.C.Angle() + math.Pi)
-	if geom.AngleInSpan(opp, a, b) {
+// dominated reports whether disk d, with global maximum ray distance
+// dmax = ‖c‖ + r, stays more than RhoEps below w everywhere on the span
+// [a, b], so that w keeps the whole span: no crossing, tie or takeover is
+// possible there and resolving the span would change nothing. The cheap
+// global test (no trigonometry) comes first, then w's exact minimum over
+// the span against d's maximum over it (docs/NUMERICS.md, "Span bounds").
+// Both ends' unit vectors come from sc.unit, so adjacent arcs share their
+// breakpoint's Sincos.
+func (sc *Scratch) dominated(w, d geom.Disk, dmax, a, b float64) bool {
+	if geom.RhoCmp(dmax, w.R-w.C.Norm()) < 0 {
+		return true
+	}
+	ea, eb := sc.unit(a), sc.unit(b)
+	floor := spanFloor(w, ea, eb, a, b)
+	return geom.RhoCmp(spanCeil(d, dmax, ea, eb, a, b), floor) < 0
+}
+
+// unit returns geom.Unit(theta), reusing the previous result when theta
+// repeats it bit for bit. A surgery walks its arcs in order and asks for
+// each arc's start, then its end, and an arc starts where the one before
+// it ended, so each breakpoint costs one Sincos, not two.
+func (sc *Scratch) unit(theta float64) geom.Point {
+	if !sc.unitOK || math.Float64bits(theta) != math.Float64bits(sc.unitTheta) {
+		sc.unitTheta, sc.unitE, sc.unitOK = theta, geom.Unit(theta), true
+	}
+	return sc.unitE
+}
+
+// spanFloor returns the minimum ray distance of d over the span [a, b],
+// whose ends have unit vectors ea and eb. ρ_d is circularly unimodal —
+// one maximum toward the center, one minimum directly away from it — so
+// the span minimum is r − ‖c‖ when the span contains the away direction
+// and the smaller end value otherwise. geom.SpanSide places the away
+// direction; inside its band the atan2 test decides, so the floor is
+// bit-identical to the one the atan2 alone gives.
+func spanFloor(d geom.Disk, ea, eb geom.Point, a, b float64) float64 {
+	var in bool
+	switch geom.SpanSide(geom.Point{X: -d.C.X, Y: -d.C.Y}, ea, eb, a, b) {
+	case +1:
+		in = true
+	case 0:
+		in = geom.AngleInSpan(geom.NormalizeAngle(d.C.Angle()+math.Pi), a, b)
+	}
+	if in {
 		return d.R - d.C.Norm()
 	}
-	ra := d.RayDistDir(geom.Unit(a))
-	rb := d.RayDistDir(geom.Unit(b))
-	return math.Min(ra, rb)
+	return math.Min(d.RayDistDir(ea), d.RayDistDir(eb))
+}
+
+// spanCeil returns an upper bound of d's ray distance over the span
+// [a, b], never above dmax = ‖c‖ + r, its global maximum: dmax when the
+// center direction may lie in the span (geom.SpanSide leans in), else
+// the larger end value, since ρ_d falls monotonically away from its peak.
+func spanCeil(d geom.Disk, dmax float64, ea, eb geom.Point, a, b float64) float64 {
+	if geom.SpanSide(d.C, ea, eb, a, b) >= 0 {
+		return dmax
+	}
+	return math.Min(dmax, math.Max(d.RayDistDir(ea), d.RayDistDir(eb)))
 }
 
 // RemoveDiskInto excises disks[rm]'s arcs from sl and re-exposes the
@@ -177,9 +219,7 @@ func (sc *Scratch) MoveDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, mv i
 			}
 			continue
 		}
-		w := disks[arc.Disk]
-		if geom.RhoCmp(dmax, w.R-w.C.Norm()) < 0 ||
-			geom.RhoCmp(dmax, spanFloor(w, arc.Start, arc.End)) < 0 {
+		if sc.dominated(disks[arc.Disk], d, dmax, arc.Start, arc.End) {
 			if im != nil {
 				im.case0.Inc()
 			}
@@ -224,14 +264,19 @@ func (sc *Scratch) resolveFreedSpan(out Skyline, disks []geom.Disk, rm int, a, b
 	nxt := sc.kinB[:0]
 	// The running span envelope only ever grows, so the seed's minimum
 	// over [a, b] is a floor for every later resolution: any disk whose
-	// global maximum ray distance sits strictly below it (beyond RhoEps)
-	// can neither win nor tie anywhere in the span and is skipped whole.
-	floor := spanFloor(disks[best], a, b)
+	// maximum ray distance over the span sits strictly below it (beyond
+	// RhoEps) can neither win nor tie anywhere in the span and is skipped
+	// whole — by its global maximum first, then by its maximum over the
+	// span.
+	ea, eb := sc.unit(a), sc.unit(b)
+	floor := spanFloor(disks[best], ea, eb, a, b)
 	for d := range disks {
 		if d == rm || d == best {
 			continue
 		}
-		if geom.RhoCmp(disks[d].C.Norm()+disks[d].R, floor) < 0 {
+		dd := disks[d]
+		dmax := dd.C.Norm() + dd.R
+		if geom.RhoCmp(dmax, floor) < 0 || geom.RhoCmp(spanCeil(dd, dmax, ea, eb, a, b), floor) < 0 {
 			continue
 		}
 		nxt = nxt[:0]

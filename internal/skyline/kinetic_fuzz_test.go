@@ -56,7 +56,9 @@ func benignSetSwap(disks []geom.Disk, got, want Skyline) bool {
 // decision — contributes exactly the disk set a from-scratch sort-oracle
 // compute produces. This is the long-horizon drift check: one repaired
 // skyline feeds the next operation, so an epsilon slip compounds instead of
-// averaging out.
+// averaging out. Every operation also runs through the reference surgery
+// (refSurgery), which must agree with it as in
+// TestSurgeryBoundsBitIdentical.
 //
 // Each 7-byte chunk is one operation: the first byte selects insert (0, 1),
 // remove (2), or move (3); the remaining six decode a disk via
@@ -97,24 +99,36 @@ func FuzzKineticRepair(f *testing.F) {
 			t.Fatal(err)
 		}
 		var sc Scratch
-		var alt Skyline // ping-pong destination: ops must not write over their input
+		var rs refSurgery
+		var alt, refAlt Skyline // ping-pong destinations: ops must not write over their input
 		for op := 0; len(data) >= 7; op++ {
 			chunk := data[:7]
 			data = data[7:]
-			tie := false
+			var kind surgeryOp
+			var k int
 			switch chunk[0] % 4 {
 			case 0, 1: // insert
 				if len(disks) >= maxDisks {
 					continue
 				}
 				disks = append(disks, diskFromChunk(chunk[1:7]))
-				alt = sc.InsertDiskInto(alt, disks, sl, len(disks)-1, &tie)
-			case 2: // remove, swap-compacting like the engine does
+				kind, k = opInsert, len(disks)-1
+			case 2: // remove
 				if len(disks) < 2 {
 					continue
 				}
-				rm := int(chunk[1]) % len(disks)
-				alt = sc.RemoveDiskInto(alt, disks, sl, rm, &tie)
+				kind, k = opRemove, int(chunk[1])%len(disks)
+			case 3: // move
+				kind, k = opMove, int(chunk[1])%len(disks)
+				disks[k] = diskFromChunk(chunk[1:7])
+			}
+			var tie, refTie bool
+			alt, refAlt, tie, refTie = runSurgery(&sc, &rs, kind, alt, refAlt, disks, sl, k)
+			if msg := surgeryDivergence(alt, refAlt, tie, refTie); msg != "" {
+				t.Fatalf("op %d (%v of disk %d): the surgery %s\n got %v (tie %v)\nwant %v (tie %v)", op, kind, k, msg, alt, tie, refAlt, refTie)
+			}
+			if kind == opRemove { // swap-compact like the engine does
+				rm := k
 				last := len(disks) - 1
 				if rm != last {
 					disks[rm] = disks[last]
@@ -125,10 +139,6 @@ func FuzzKineticRepair(f *testing.F) {
 					}
 				}
 				disks = disks[:last]
-			case 3: // move
-				mv := int(chunk[1]) % len(disks)
-				disks[mv] = diskFromChunk(chunk[1:7])
-				alt = sc.MoveDiskInto(alt, disks, sl, mv, &tie)
 			}
 			sl, alt = alt, sl
 

@@ -27,6 +27,10 @@ type Scratch struct {
 	// a freed span's candidate envelope is resolved through.
 	kinA Skyline
 	kinB Skyline
+	// The last unit vector the surgery asked for (see Scratch.unit).
+	unitTheta float64
+	unitE     geom.Point
+	unitOK    bool
 }
 
 // computeFrame is one suspended node of the divide-and-conquer tree in
