@@ -19,6 +19,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/skyline"
+	"repro/internal/spatial"
 )
 
 // benchConfig is the paper's heterogeneous deployment (mean degree 10)
@@ -54,15 +55,41 @@ func benchMovers(n int, contention float64, seed int64) (*mobility.HotspotWorklo
 	}, rand.New(rand.NewSource(seed)))
 }
 
-// moveDeltas refills ds with the Apply deltas of the moved slots: each
-// slot's current state in nodes, under key = slot as Compute assigns it.
-func moveDeltas(ds []Delta, nodes []network.Node, moved []int) []Delta {
+// moveDeltas refills ds with the Apply deltas of the moved nodes: each
+// node's current state in nodes, under its deployment ID as the key, in
+// slot slot[u], or in slot u (as Compute assigns them) when slot is nil.
+func moveDeltas(ds []Delta, nodes []network.Node, slot []int, moved []int) []Delta {
 	ds = ds[:0]
 	for _, u := range moved {
-		n := nodes[u]
-		ds = append(ds, Delta{Slot: u, Key: int64(u), Pos: n.Pos, Radius: n.Radius})
+		n, s := nodes[u], u
+		if slot != nil {
+			s = slot[u]
+		}
+		ds = append(ds, Delta{Slot: s, Key: int64(u), Pos: n.Pos, Radius: n.Radius})
 	}
 	return ds
+}
+
+// curveEngine builds an engine over nodes the way mldcsd builds one: a
+// single Apply of the whole deployment as joins, keyed by deployment ID,
+// whose slots follow spatial.HilbertOrder. It returns the engine and each
+// node's slot.
+func curveEngine(cfg Config, nodes []network.Node) (*Engine, []int, error) {
+	pts := make([]geom.Point, len(nodes))
+	for i, n := range nodes {
+		pts[i] = n.Pos
+	}
+	slot := make([]int, len(nodes))
+	joins := make([]Delta, len(nodes))
+	for s, u := range spatial.HilbertOrder(pts) {
+		slot[u] = s
+		joins[s] = Delta{Slot: s, Key: int64(u), Pos: nodes[u].Pos, Radius: nodes[u].Radius}
+	}
+	e := New(cfg)
+	if _, err := e.Apply(joins); err != nil {
+		return nil, nil, err
+	}
+	return e, slot, nil
 }
 
 // benchSequential is the per-node baseline the engine is measured against.
@@ -124,14 +151,16 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkApply measures one incremental pass through Apply at 100k
 // nodes: on one worker and on two, and on one worker with DisableRepair,
-// the baseline kinetic repair is measured against. movers=k: k nodes of
-// benchMovers' uniform process slide by ≤2% of their radius (k=20 is one
-// batch of the mldcsd mobility-100k service workload, k=320 a full
-// coalesced group of 16 such batches). churn: 2 nodes leave and 2 join
-// elsewhere in the freed slots, one batch of the churn-5k workload. B/op
-// is dominated by publishing: the copied pages of the dirty nodes plus the
-// page directory. kin-B/node is the kinetic state's footprint per slot
-// after the sub-benchmark's passes.
+// the baseline kinetic repair is measured against. The engine is built as
+// mldcsd builds it (curveEngine), so its slots follow the Hilbert curve
+// and the cells time the memory layout the service serves. movers=k: k
+// nodes of benchMovers' uniform process slide by ≤2% of their radius
+// (k=20 is one batch of the mldcsd mobility-100k service workload, k=320
+// a full coalesced group of 16 such batches). churn: 2 nodes leave and 2
+// join elsewhere in the freed slots, one batch of the churn-5k workload.
+// B/op is dominated by publishing: the copied pages of the dirty nodes
+// plus the page directory. kin-B/node is the kinetic state's footprint
+// per slot after the sub-benchmark's passes.
 //
 // An A/B of the churn cell needs at least 3000 passes (-benchtime=3000x).
 // A few hundred passes last about 0.1 s, so where a GC mark phase lands
@@ -160,8 +189,8 @@ func benchApply(b *testing.B, n int, cfg Config) {
 		b.Fatal(err)
 	}
 	nodes := w.Nodes()
-	e := New(cfg)
-	if _, err := e.Compute(nodes); err != nil {
+	e, slot, err := curveEngine(cfg, nodes)
+	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -171,7 +200,7 @@ func benchApply(b *testing.B, n int, cfg Config) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ds = moveDeltas(ds, nodes, w.Step(k, rng))
+				ds = moveDeltas(ds, nodes, slot, w.Step(k, rng))
 				if _, err := e.Apply(ds); err != nil {
 					b.Fatal(err)
 				}
@@ -190,8 +219,8 @@ func benchApply(b *testing.B, n int, cfg Config) {
 				u := rng.Intn(len(nodes))
 				key++
 				nodes[u].Pos = geom.Pt(rng.Float64()*side, rng.Float64()*side)
-				ds[2*j] = Delta{Slot: u, Leave: true}
-				ds[2*j+1] = Delta{Slot: u, Key: key, Pos: nodes[u].Pos, Radius: nodes[u].Radius}
+				ds[2*j] = Delta{Slot: slot[u], Leave: true}
+				ds[2*j+1] = Delta{Slot: slot[u], Key: key, Pos: nodes[u].Pos, Radius: nodes[u].Radius}
 			}
 			if _, err := e.Apply(ds); err != nil {
 				b.Fatal(err)
@@ -426,7 +455,7 @@ func benchUpdateRun(t *testing.T, name string, n, movers int, cfg Config) benchU
 	var ds []Delta
 	ticksMS := make([]float64, 0, benchUpdateTicks)
 	for i := 0; i < benchUpdateTicks; i++ {
-		ds = moveDeltas(ds, nodes, w.Step(movers, rng))
+		ds = moveDeltas(ds, nodes, nil, w.Step(movers, rng))
 		start := time.Now()
 		v, err := e.Apply(ds)
 		elapsed := time.Since(start)
@@ -525,7 +554,7 @@ func benchZipfUpdate(t *testing.T, e *benchScalingEntry, n, workers int) {
 	var ds []Delta
 	ticksMS := make([]float64, 0, ticks)
 	for i := 0; i < ticks; i++ {
-		ds = moveDeltas(ds, nodes, w.Step(movers, mrng))
+		ds = moveDeltas(ds, nodes, nil, w.Step(movers, mrng))
 		start := time.Now()
 		v, err := eng.Apply(ds)
 		if err != nil {

@@ -57,7 +57,11 @@ type Config struct {
 // makes the slot absent. Keys order every local set, which settles the
 // skyline's tie-break between neighbor disks within geom.RhoEps of each
 // other (the lower key represents), so present slots should carry
-// distinct keys.
+// distinct keys. Slots decide only where a node's state lives, never an
+// answer, but nearby slots for nearby nodes pay off: a pass touches each
+// dirty node's neighbors, and when their slots are close their pages,
+// grid entries and kinetic state share cache lines (mldcsd numbers a
+// group's joiners along spatial.HilbertOrder for this).
 type Delta struct {
 	Slot   int
 	Key    int64

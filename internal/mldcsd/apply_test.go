@@ -140,8 +140,9 @@ func TestSnapshotIDsSharedUntilMembershipChanges(t *testing.T) {
 	if &moved.IDs[0] != &first.IDs[0] || &moved.Slots[0] != &first.Slots[0] {
 		t.Fatal("a pure-mobility epoch copied the ID mapping")
 	}
-	if moved.Res.Stats.Moved != 2 || moved.Res.Node(1).Pos.X != 0.2 {
-		t.Fatalf("mobility epoch: moved %d, node 30 at %+v", moved.Res.Stats.Moved, moved.Res.Node(1))
+	// IDs are [10 30], so node 30's slot is Slots[1].
+	if n30 := moved.Res.Node(moved.Slots[1]); moved.Res.Stats.Moved != 2 || n30.Pos.X != 0.2 {
+		t.Fatalf("mobility epoch: moved %d, node 30 at %+v", moved.Res.Stats.Moved, n30)
 	}
 	joined := post(`{"deltas":[{"op":"join","node":20,"x":0.4,"y":0.4,"r":1}]}`)
 	if &joined.IDs[0] == &first.IDs[0] || &joined.Slots[0] == &first.Slots[0] {
@@ -150,9 +151,10 @@ func TestSnapshotIDsSharedUntilMembershipChanges(t *testing.T) {
 	if want := []int64{10, 20, 30}; !reflect.DeepEqual(joined.IDs, want) {
 		t.Fatalf("IDs after join = %v, want %v", joined.IDs, want)
 	}
-	// Set-up joins take slots in ascending ID order; a later join with no
-	// free slot grows the range.
-	if want := []int{0, 2, 1}; !reflect.DeepEqual(joined.Slots, want) {
+	// Set-up joins take slots in Hilbert-curve order of position over the
+	// batch's bounding box: node 30 at (0, 0) starts the curve and node 10
+	// at (0.5, 0) ends it. A later join with no free slot grows the range.
+	if want := []int{1, 2, 0}; !reflect.DeepEqual(joined.Slots, want) {
 		t.Fatalf("Slots after join = %v, want %v", joined.Slots, want)
 	}
 	if want := []int64{10, 30}; !reflect.DeepEqual(first.IDs, want) || !reflect.DeepEqual(moved.IDs, want) {
