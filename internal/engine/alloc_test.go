@@ -154,8 +154,8 @@ func TestEngineDifferentialFuzzSeeds(t *testing.T) {
 
 // updatePassHarness drives runPass the way Apply does — wiggle a fixed
 // mover set by a tiny repairable slide, mark the dirty neighborhoods, run
-// the batched pass, reset the per-pass tables — without publishing a View,
-// so the tests below pin the cell-batching and fan-out machinery alone.
+// the pass, reset the per-pass tables — without publishing a View, so the
+// tests below pin the fan-out machinery alone.
 type updatePassHarness struct {
 	e         *Engine
 	movers    []int
@@ -225,11 +225,9 @@ func (h *updatePassHarness) pass() {
 	}
 }
 
-// A steady-state batched update pass — group the dirty list by owning
-// cell, merge-sort the batches, fan them over the pool, repair or
-// recompute each node — must not allocate on one worker: every buffer
-// (batchEnts, batchTmp, batches, the pass body, the worker scratches) is
-// reused across passes.
+// A steady-state update pass — fan the dirty list's runs over the pool,
+// repair or recompute each node — must not allocate on one worker: every
+// buffer (the pass body, the worker scratches) is reused across passes.
 func TestUpdatePassSteadyStateAllocs(t *testing.T) {
 	h := newUpdatePassHarness(t, 1, 400, 16)
 	for i := 0; i < 5; i++ {
@@ -246,8 +244,8 @@ func TestUpdatePassSteadyStateAllocs(t *testing.T) {
 
 // Multi-worker passes pay a fixed per-pass overhead (the worker goroutine
 // spawns) but nothing per mover: growing the mover set 8× must not grow
-// the allocation count. An accidental per-node or per-batch allocation in
-// the batching path shows up here as allocs scaling with the mover count
+// the allocation count. An accidental per-node or per-run allocation in
+// the fan-out shows up here as allocs scaling with the mover count
 // (one object per extra mover would add ≥ 56 allocations per run).
 func TestUpdatePassAllocsIndependentOfMovers(t *testing.T) {
 	measure := func(k int) float64 {

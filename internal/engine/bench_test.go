@@ -71,10 +71,20 @@ func moveDeltas(ds []Delta, nodes []network.Node, slot []int, moved []int) []Del
 }
 
 // curveEngine builds an engine over nodes the way mldcsd builds one: a
-// single Apply of the whole deployment as joins, keyed by deployment ID,
-// whose slots follow spatial.HilbertOrder. It returns the engine and each
-// node's slot.
+// single Apply of curveJoins(nodes). It returns the engine and each node's
+// slot.
 func curveEngine(cfg Config, nodes []network.Node) (*Engine, []int, error) {
+	joins, slot := curveJoins(nodes)
+	e := New(cfg)
+	if _, err := e.Apply(joins); err != nil {
+		return nil, nil, err
+	}
+	return e, slot, nil
+}
+
+// curveJoins returns the whole deployment as joins, keyed by deployment
+// ID, whose slots follow spatial.HilbertOrder, and each node's slot.
+func curveJoins(nodes []network.Node) ([]Delta, []int) {
 	pts := make([]geom.Point, len(nodes))
 	for i, n := range nodes {
 		pts[i] = n.Pos
@@ -85,11 +95,7 @@ func curveEngine(cfg Config, nodes []network.Node) (*Engine, []int, error) {
 		slot[u] = s
 		joins[s] = Delta{Slot: s, Key: int64(u), Pos: nodes[u].Pos, Radius: nodes[u].Radius}
 	}
-	e := New(cfg)
-	if _, err := e.Apply(joins); err != nil {
-		return nil, nil, err
-	}
-	return e, slot, nil
+	return joins, slot
 }
 
 // benchSequential is the per-node baseline the engine is measured against.
@@ -127,25 +133,39 @@ func BenchmarkSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine times one bulk Compute on a fresh engine; kin-B/node is
-// the kinetic state it leaves behind, per node.
+// BenchmarkEngine times one bulk pass on a fresh engine, on one worker and
+// on two, over two slot layouts of the same deployment: layout=dense is
+// Compute, slot i holding deployment node i; layout=curve is the one Apply
+// of joins mldcsd builds its engine with (curveJoins, as curveEngine
+// applies them), slots along the Hilbert curve. kin-B/node is the kinetic
+// state the pass leaves behind, per node.
 func BenchmarkEngine(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			nodes, _, err := benchDeployment(n, 1)
-			if err != nil {
-				b.Fatal(err)
+		nodes, _, err := benchDeployment(n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		joins, _ := curveJoins(nodes)
+		for _, layout := range []string{"dense", "curve"} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("n=%d/layout=%s/workers=%d", n, layout, workers), func(b *testing.B) {
+					var e *Engine
+					for i := 0; i < b.N; i++ {
+						e = New(Config{Workers: workers})
+						var err error
+						if layout == "dense" {
+							_, err = e.Compute(nodes)
+						} else {
+							_, err = e.Apply(joins)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(kinBytesPerNode(e), "kin-B/node")
+				})
 			}
-			b.ResetTimer()
-			var e *Engine
-			for i := 0; i < b.N; i++ {
-				e = New(Config{})
-				if _, err := e.Compute(nodes); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(kinBytesPerNode(e), "kin-B/node")
-		})
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // (Theorem 3: the MLDCS is the skyline set, O(n log n) per node); this
 // package is the whole-network counterpart that a production deployment
 // needs: neighbor discovery through a shared spatial grid, a worker pool
-// that takes grid-cell batches of nodes from one shared cursor, each
+// that takes fixed runs of a pass's node list from one shared cursor, each
 // worker with its own scratch buffers, and an incremental path (Apply)
 // that only redoes the neighborhoods a batch of moves, joins and leaves
 // actually dirtied, patching most of them by kinetic repair (kinetic.go)
@@ -75,7 +75,7 @@ type Delta struct {
 type Stats struct {
 	Nodes   int // present nodes in the network
 	Edges   int // directed neighbor entries (sum of out-degrees)
-	Cells   int // occupied grid cells (the shard count)
+	Cells   int // occupied grid cells
 	Workers int // workers actually used
 	// Incremental accounting: slots whose state changed (moves, joins,
 	// leaves, key changes), and neighborhoods recomputed (present changed
@@ -197,17 +197,16 @@ type Engine struct {
 	// updateNode's repair gather, which therefore never needs a grid query
 	// and finds a changed neighbor's pre-pass state at updPrev[j].
 	updCand []uint64
-	// Parallel-driver state (pool.go): persistent per-worker scratches,
-	// the shared batch cursor, and the pass's cell-batch buffers.
+	// Parallel-driver state (pool.go): persistent per-worker scratches and
+	// the shared run cursor.
 	scratches []*scratch
 	next      atomic.Int64
-	batchEnts []batchEnt
-	batchTmp  []batchEnt
-	batches   []cellBatch
 	// The pass body persists on the engine (runPass): a per-call method
 	// value would escape through the worker goroutines and cost a heap
-	// allocation every pass.
+	// allocation every pass. passList and passMark are its arguments for
+	// the pass in flight.
 	passFn   func(i int, sc *scratch)
+	passList []int
 	passMark []bool
 }
 
@@ -225,10 +224,10 @@ func New(cfg Config) *Engine {
 }
 
 // Compute runs the full whole-network pass: index the nodes in a spatial
-// grid, then solve every node's MLDCS, sharding the grid's cells over the
-// worker pool. Node IDs must equal their slice positions and radii must be
-// positive (as in network.Build); node i takes slot i under key i. The
-// nodes slice is copied. It returns the flat rendering of the View the
+// grid, then solve every node's MLDCS on the worker pool. Node IDs must
+// equal their slice positions and radii must be positive (as in
+// network.Build); node i takes slot i under key i. The nodes slice is
+// copied. It returns the flat rendering of the View the
 // pass published (see View).
 func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
 	for i, n := range nodes {
@@ -248,8 +247,8 @@ func (e *Engine) Compute(nodes []network.Node) (*Result, error) {
 
 // bulk is the full pass over the store's present slots, which a fresh
 // reset and writes have filled: index them in a new grid whose cell is the
-// largest radius, then solve every node, fanning the grid's cells over the
-// worker pool.
+// largest radius, then solve every node, listed cell by cell so that each
+// run of the list reads a few neighboring cells.
 func (e *Engine) bulk() *View {
 	m := engInstr.Load()
 	start := time.Now()
@@ -281,12 +280,14 @@ func (e *Engine) bulk() *View {
 		return e.publish()
 	}
 	e.grid = spatial.NewGrid(nil, maxR)
-	list := make([]int, 0, e.live)
 	for u := 0; u < n; u++ {
 		if e.out.present(u) {
 			e.grid.Insert(u, e.out.node(u).Pos)
-			list = append(list, u)
 		}
+	}
+	list := make([]int, 0, e.live)
+	for _, cell := range e.grid.Cells() {
+		list = append(list, cell...)
 	}
 	e.stats.Cells = e.grid.NumCells()
 
@@ -298,9 +299,6 @@ func (e *Engine) bulk() *View {
 	workers := e.runPass(list, nil)
 	e.stats.Workers = workers
 	e.stats.recordLoads(e.scratches[:workers])
-	// These batches span the network; drop them, so the engine keeps only
-	// the O(dirty) batch buffers Apply's passes grow.
-	e.batchEnts, e.batchTmp, e.batches = nil, nil, nil
 	e.stats.Dirty = e.live
 	e.stats.Fallbacks = int(e.fallbacks.Load())
 	for u := 0; u < n; u++ {
@@ -323,44 +321,35 @@ func (e *Engine) bulk() *View {
 
 // runPass brings every node of list up to date — kinetic repair where its
 // cached state allows, a full recompute otherwise (updateNode) — fanning
-// the list over the worker pool in cell batches, and returns the number
-// of workers used. movedMark is Apply's per-pass "did this slot change"
-// table; the bulk pass passes nil, having invalidated every kinetic state
-// so that updateNode never reads it. Split out from Apply so the
-// allocation regression tests can pin the batching and fan-out at zero
-// steady-state allocations without publishing a View.
+// the list over the worker pool in runs of passChunk entries, in list
+// order, and returns the number of workers used. movedMark is Apply's
+// per-pass "did this slot change" table; the bulk pass passes nil, having
+// invalidated every kinetic state so that updateNode never reads it. Split
+// out from Apply so the allocation regression tests can pin the fan-out
+// at zero steady-state allocations without publishing a View.
 func (e *Engine) runPass(list []int, movedMark []bool) int {
 	// Make every page the pass writes private first, sequentially: own
 	// rewrites directory entries, which the workers read unsynchronized.
 	for _, u := range list {
 		e.out.own(u)
 	}
-	e.buildBatches(list)
-	e.passMark = movedMark
+	e.passList, e.passMark = list, movedMark
 	if e.passFn == nil {
 		e.passFn = e.runBatch
 	}
-	workers := e.forEachBatch(len(e.batches), e.passFn)
-	e.passMark = nil
+	workers := e.forEachBatch((len(list)+passChunk-1)/passChunk, e.passFn)
+	e.passList, e.passMark = nil, nil
 	return workers
 }
 
-// runBatch is the pass body: it brings cell batch i's nodes up to date on
-// worker scratch sc.
+// runBatch is the pass body: it brings run i of the pass's list — entries
+// [i·passChunk, (i+1)·passChunk) — up to date on worker scratch sc.
 func (e *Engine) runBatch(i int, sc *scratch) {
-	b := e.batches[i]
-	batch := e.batchEnts[b.lo:b.hi]
-	var span obs.Span
-	if m := engInstr.Load(); m != nil {
-		span = m.spanCell.Begin()
+	run := e.passList[i*passChunk : min((i+1)*passChunk, len(e.passList))]
+	for _, u := range run {
+		e.updateNode(u, sc, e.passMark)
 	}
-	for _, ent := range batch {
-		e.updateNode(int(ent.node), sc, e.passMark)
-	}
-	sc.nodes += len(batch)
-	if span.Sampled() {
-		span.End(map[string]any{"nodes": len(batch)})
-	}
+	sc.nodes += len(run)
 }
 
 // publish ends a successful pass: it numbers the epoch and freezes the

@@ -39,10 +39,9 @@ const (
 
 	// Span kinds emitted by this package (see obs.SpanTracer): one span per
 	// whole-network Compute pass, one per incremental Apply pass, one per
-	// worker cell batch inside either pass, and one per per-node recompute.
+	// per-node recompute and one per per-node repair.
 	SpanCompute = "engine_compute"
 	SpanUpdate  = "engine_update"
-	SpanCell    = "engine_cell"
 	SpanNode    = "engine_node"
 	SpanRepair  = "engine_repair"
 )
@@ -76,12 +75,12 @@ type engMetrics struct {
 	repairFallbacks *obs.Counter
 	repairSeconds   *obs.Timer
 	sink            *obs.EventSink
-	// Span kinds (nil when no sink is attached): pass → cell batch → node,
-	// plus update ticks and per-node repairs. Per-kind sampling keeps the
-	// trace bounded while the sharded totals keep counting past the budget.
+	// Span kinds (nil when no sink is attached): pass → node, for bulk
+	// passes and update ticks alike, plus per-node repairs. Per-kind
+	// sampling keeps the trace bounded while the totals keep counting past
+	// the budget.
 	spanCompute *obs.SpanKind
 	spanUpdate  *obs.SpanKind
-	spanCell    *obs.SpanKind
 	spanNode    *obs.SpanKind
 	spanRepair  *obs.SpanKind
 }
@@ -120,7 +119,6 @@ func Instrument(r *obs.Registry, sink *obs.EventSink) {
 		sink:            sink,
 		spanCompute:     tracer.Kind(SpanCompute),
 		spanUpdate:      tracer.Kind(SpanUpdate),
-		spanCell:        tracer.Kind(SpanCell),
 		spanNode:        tracer.Kind(SpanNode),
 		spanRepair:      tracer.Kind(SpanRepair),
 	})

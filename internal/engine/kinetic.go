@@ -16,8 +16,8 @@ import (
 // updateNode diffs the node's current neighborhood against the neighbor
 // list the last pass published (gained / lost / moved neighbors), rebuilds
 // the local set that skyline was built over from the page store and the
-// pass's pre-pass states, and patches the skyline with InsertDiskInto /
-// RemoveDiskInto / MoveDiskInto instead of solving the set again.
+// pass's pre-pass states, and patches the skyline with RemoveDiskInto /
+// MoveDiskInto instead of solving the set again.
 //
 // The repair is guarded three ways, and every guard falls back to the
 // always-correct full recompute: (1) nodes that moved themselves, have no
@@ -150,8 +150,9 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 	// disks stay in neighbor-list order, so the arcs stay labelled by
 	// rank: removals run from the highest rank down, each shifting only
 	// the disks above it; insertions run from the lowest up, each at its
-	// rank in the new list; moves run last, when every disk sits at its
-	// rank in the new list. Any tie abandons the repair.
+	// rank in the new list, where no arc carries its label yet, so
+	// MoveDiskInto merges it in; moves run last, when every disk sits at
+	// its rank in the new list. Any tie abandons the repair.
 	tie := false
 	for k := len(sc.lost) - 1; k >= 0 && !tie; k-- {
 		i, _ := slices.BinarySearch(oldIDs, sc.lost[k])
@@ -164,7 +165,7 @@ func (e *Engine) updateNode(u int, sc *scratch, movedMark []bool) {
 		i, _ := slices.BinarySearch(sc.ids, sc.gained[k])
 		shiftArcs(sc.sl, i+1, +1)
 		sc.disks = slices.Insert(sc.disks, i+1, e.out.node(sc.gained[k]).Disk().Translate(hub.Pos))
-		sc.slTmp = sc.sky.InsertDiskInto(sc.slTmp, sc.disks, sc.sl, i+1, &tie)
+		sc.slTmp = sc.sky.MoveDiskInto(sc.slTmp, sc.disks, sc.sl, i+1, &tie)
 		sc.sl, sc.slTmp = sc.slTmp, sc.sl
 	}
 	for k := 0; k < len(sc.movedNb) && !tie; k++ {

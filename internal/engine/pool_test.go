@@ -82,8 +82,56 @@ func TestForEachBatch(t *testing.T) {
 	}
 }
 
+// TestRunPassChunkBoundaries drives runPass over lists whose lengths sit
+// on either side of a run boundary, with every listed node marked moved so
+// that each one must be recomputed: every node of the list is recomputed
+// (none dropped at a run's end, none run twice across a boundary), the
+// workers book exactly the list, and the pass uses no more workers than
+// it has runs.
+func TestRunPassChunkBoundaries(t *testing.T) {
+	nodes, _, err := benchDeployment(400, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		e := New(Config{Workers: workers})
+		if _, err := e.Compute(nodes); err != nil {
+			t.Fatal(err)
+		}
+		moved := make([]bool, len(nodes))
+		for _, k := range []int{0, 1, passChunk - 1, passChunk, passChunk + 1, 3*passChunk + 5} {
+			t.Run(fmt.Sprintf("workers=%d/nodes=%d", workers, k), func(t *testing.T) {
+				// Every third slot, so the list is not one contiguous block.
+				list := make([]int, k)
+				for i := range list {
+					list[i] = 3 * i
+					moved[list[i]] = true
+				}
+				e.recomputed.Store(0)
+				used := e.runPass(list, moved)
+				for _, u := range list {
+					moved[u] = false
+				}
+				if got := int(e.recomputed.Load()); got != k {
+					t.Errorf("recomputed %d nodes, want %d", got, k)
+				}
+				booked := 0
+				for _, sc := range e.scratches[:used] {
+					booked += sc.nodes
+				}
+				if booked != k {
+					t.Errorf("workers booked %d nodes, want %d", booked, k)
+				}
+				if runs := (k + passChunk - 1) / passChunk; used != min(workers, runs) {
+					t.Errorf("pass used %d workers over %d runs, want %d", used, runs, min(workers, runs))
+				}
+			})
+		}
+	}
+}
+
 // The engine_worker_imbalance gauge reports the last multi-worker pass: a
-// one-batch Apply, which runs on one worker, must leave it alone instead
+// one-run Apply, which runs on one worker, must leave it alone instead
 // of resetting it to 1.
 func TestWorkerImbalanceGaugeKeepsMultiWorkerPass(t *testing.T) {
 	nodes, _, err := benchDeployment(1200, 7)
@@ -107,7 +155,7 @@ func TestWorkerImbalanceGaugeKeepsMultiWorkerPass(t *testing.T) {
 	if res.Stats.Workers != 4 || !(want > 1) || gauge.Value() != want {
 		t.Fatalf("4-worker Compute: workers %d, imbalance %g, gauge %g", res.Stats.Workers, want, gauge.Value())
 	}
-	// A join far outside the deployment dirties only itself: one batch.
+	// A join far outside the deployment dirties only itself: one run.
 	v, err := e.Apply([]Delta{{Slot: len(nodes), Key: int64(len(nodes)), Pos: geom.Pt(-1e6, -1e6), Radius: 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -118,9 +118,9 @@ func TestKineticIntoSteadyStateAllocs(t *testing.T) {
 		moved := disks[n/2]
 		tie := false
 		ops := map[string]func(){
-			"InsertDiskInto": func() { dst = sc.InsertDiskInto(dst, disks, slHead, n-1, &tie) },
-			"RemoveDiskInto": func() { dst = sc.RemoveDiskInto(dst, disks, sl, n/2, &tie) },
-			"MoveDiskInto":   func() { disks[n/2] = moved; dst = sc.MoveDiskInto(dst, disks, sl, n/2, &tie) },
+			"MoveDiskInto insert": func() { dst = sc.MoveDiskInto(dst, disks, slHead, n-1, &tie) },
+			"RemoveDiskInto":      func() { dst = sc.RemoveDiskInto(dst, disks, sl, n/2, &tie) },
+			"MoveDiskInto":        func() { disks[n/2] = moved; dst = sc.MoveDiskInto(dst, disks, sl, n/2, &tie) },
 		}
 		for name, op := range ops {
 			for i := 0; i < 3; i++ {

@@ -11,8 +11,8 @@
 //
 // Compute is the paper's construction: divide-and-conquer with the
 // three-step Merge, O(n log n) by Lemma 8 and Theorem 9. Scratch holds its
-// allocation-free form and the kinetic operations (InsertDiskInto,
-// RemoveDiskInto, MoveDiskInto) that repair a skyline for one changed disk.
+// allocation-free form and the kinetic operations (RemoveDiskInto,
+// MoveDiskInto) that repair a skyline for one changed disk.
 // ComputeNaive, a global-breakpoint O(n² log n) construction, stays
 // exported as the reference oracle that other packages' differential tests
 // compare whole networks against; the incremental (decreasing-radius)

@@ -124,8 +124,9 @@ func BenchmarkAblationOrder(b *testing.B) {
 }
 
 // BenchmarkInsertDisk measures dynamic skyline maintenance as the engine
-// runs it, on a warm Scratch: InsertDiskInto adds one disk to an existing
-// skyline, ComputeInto recomputes the same set from scratch.
+// runs it, on a warm Scratch: MoveDiskInto adds one disk to an existing
+// skyline that holds no arc of it, ComputeInto recomputes the same set
+// from scratch.
 func BenchmarkInsertDisk(b *testing.B) {
 	const n = 1024
 	disks := randomLocalSet(rand.New(rand.NewSource(10)), n+1)
@@ -138,7 +139,7 @@ func BenchmarkInsertDisk(b *testing.B) {
 		var dst Skyline
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = sc.InsertDiskInto(dst, disks, base, n, nil)
+			dst = sc.MoveDiskInto(dst, disks, base, n, nil)
 		}
 	})
 	b.Run("recompute", func(b *testing.B) {

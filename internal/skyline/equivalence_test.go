@@ -138,8 +138,9 @@ func TestInputPermutationInvariance(t *testing.T) {
 	}
 }
 
-// InsertDiskInto must keep the skyline equal to a full recomputation as
-// disks stream in one by one (the dynamic-neighborhood path).
+// MoveDiskInto, inserting each disk into the skyline of those before it,
+// must keep the skyline equal to a full recomputation as disks stream in
+// one by one (the dynamic-neighborhood path).
 func TestInsertDiskMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(110))
 	var sc Scratch
@@ -151,7 +152,7 @@ func TestInsertDiskMatchesRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 2; k <= n; k++ {
-			sl = sc.InsertDiskInto(nil, all[:k], sl, k-1, nil)
+			sl = sc.MoveDiskInto(nil, all[:k], sl, k-1, nil)
 			if err := sl.Validate(k); err != nil {
 				t.Fatal(err)
 			}

@@ -7,12 +7,13 @@ import (
 )
 
 // This file is the kinetic repair layer: updating an existing skyline for
-// one disk's arrival (InsertDiskInto), departure (RemoveDiskInto), or
-// motion (MoveDiskInto) without recomputing from scratch. Insertion is
-// Lemma 8's one-disk merge; removal is its inverse — excise the departing
-// disk's arcs and re-expose the runner-up envelope over the freed angular
-// spans. Each operation costs O(candidates × arcs touched), independent
-// of how the skyline was built, which is what makes per-event repair beat
+// one disk's departure (RemoveDiskInto) or motion (MoveDiskInto) without
+// recomputing from scratch. An arrival is a motion from nowhere:
+// MoveDiskInto on a skyline where the disk owns no arc is Lemma 8's
+// one-disk merge. Removal is its inverse — excise the departing disk's
+// arcs and re-expose the runner-up envelope over the freed angular spans.
+// Each operation costs O(candidates × arcs touched), independent of how
+// the skyline was built, which is what makes per-event repair beat
 // per-tick recomputation under continuous mobility (the engine's Update
 // path).
 //
@@ -27,61 +28,6 @@ import (
 // forwarding sets) falls back to ComputeInto when it is set. The envelope
 // itself is correct either way; the test suite pins it against the
 // retained sort-based oracle.
-
-// InsertDiskInto merges disks[ins] into sl, the valid skyline of the other
-// disks, and writes the result to dst[:0], performing no validation and
-// no heap allocation once the buffers are warm (the engine's kinetic path
-// and the allocation regression tests pin this). dst must not alias sl or
-// the Scratch's internal buffers; the caller vouches that disks[ins] is a
-// valid hub-containing disk. ins may be any index.
-//
-// It is mergeInto with a full-circle one-arc second input, minus the
-// breakpoint pass (the union of breakpoints is exactly sl's) and plus an
-// envelope-bound prune: an arc whose owner stays strictly above the new
-// disk's maximum ray distance over the arc (beyond RhoEps, via RhoCmp)
-// cannot be crossed, tied, or taken over anywhere on the arc, so it is
-// copied through without any crossing analysis. The prune is what makes a
-// small-move repair cheap: a moved neighbor contends with two or three
-// arcs of the cached skyline, not all of them. Bounding the new disk over
-// the arc alone, not over the whole circle (spanCeil), is what keeps the
-// arcs on the far side of a large disk out of the fight.
-//
-//mldcs:hotpath
-func (sc *Scratch) InsertDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, ins int, tie *bool) Skyline {
-	out := dst[:0]
-	d := disks[ins]
-	dmax := d.C.Norm() + d.R
-	im := skyInstr.Load()
-	if im != nil {
-		im.merges.Inc()
-		im.breakpoints.Add(int64(len(sl) + 1))
-	}
-	for _, arc := range sl {
-		if geom.AngleSliver(arc.Start, arc.End) {
-			// mergeInto drops sliver spans (and flags): mirror it so the
-			// two insert paths stay bit-identical.
-			if tie != nil {
-				*tie = true
-			}
-			continue
-		}
-		if sc.dominated(disks[arc.Disk], d, dmax, arc.Start, arc.End) {
-			if im != nil {
-				im.case0.Inc()
-			}
-			out = appendArc(out, arc.Start, arc.End, arc.Disk)
-			continue
-		}
-		out = resolveSpan(disks, out, arc.Start, arc.End, arc.Disk, ins, im, tie)
-	}
-	if len(out) == 0 {
-		win := winner(disks, sl[0].Disk, ins, 1.0)
-		return append(out, Arc{Start: 0, End: geom.TwoPi, Disk: win})
-	}
-	out[0].Start = 0
-	out[len(out)-1].End = geom.TwoPi
-	return combineInPlace(out)
-}
 
 // dominated reports whether disk d, with global maximum ray distance
 // dmax = ‖c‖ + r, stays more than RhoEps below w everywhere on the span
@@ -175,15 +121,31 @@ func (sc *Scratch) RemoveDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, rm
 
 // MoveDiskInto updates sl for disks[mv]'s new geometry (already written
 // into disks — the excision identifies the old arcs by index, never by
-// position) in one pass. Arcs the disk does not own are resolved against
-// its new geometry exactly like InsertDiskInto (with the same
-// envelope-bound prune); runs of arcs it does own become freed spans
-// resolved over all disks *including* the moved one. Fusing matters for
-// small moves: the freed-span seed is then usually the moved disk itself,
-// whose high floor prunes almost every other candidate, where a
-// remove-then-insert pays for a runner-up fight and a second full walk.
-// Same contract as the other Into variants: unchecked, alias-free dst,
-// zero allocations once warm.
+// position) in one pass, writing the result to dst[:0]. It performs no
+// validation and no heap allocation once the buffers are warm (the
+// engine's kinetic path and the allocation regression tests pin this);
+// dst must not alias sl or the Scratch's internal buffers, and the caller
+// vouches that disks[mv] is a valid hub-containing disk.
+//
+// Runs of arcs the disk owns become freed spans resolved over all disks
+// *including* the moved one. Fusing matters for small moves: the
+// freed-span seed is then usually the moved disk itself, whose high floor
+// prunes almost every other candidate, where a remove-then-insert pays for
+// a runner-up fight and a second full walk. When the disk owns no arc of
+// sl — it has just joined, so sl is the skyline of the other disks — the
+// pass is exactly the one-disk merge of Lemma 8, which inserts it.
+//
+// Every other arc is resolved against the disk's new geometry: mergeInto
+// with a full-circle one-arc second input, minus the breakpoint pass (the
+// union of breakpoints is exactly sl's) and plus an envelope-bound prune:
+// an arc whose owner stays strictly above the disk's maximum ray distance
+// over the arc (beyond RhoEps, via RhoCmp) cannot be crossed, tied, or
+// taken over anywhere on the arc, so it is copied through without any
+// crossing analysis. The prune is what makes a small-move repair cheap: a
+// moved neighbor contends with two or three arcs of the cached skyline,
+// not all of them. Bounding the disk over the arc alone, not over the
+// whole circle (spanCeil), is what keeps the arcs on the far side of a
+// large disk out of the fight.
 //
 //mldcs:hotpath
 func (sc *Scratch) MoveDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, mv int, tie *bool) Skyline {
@@ -214,6 +176,8 @@ func (sc *Scratch) MoveDiskInto(dst Skyline, disks []geom.Disk, sl Skyline, mv i
 		}
 		i++
 		if geom.AngleSliver(arc.Start, arc.End) {
+			// mergeInto drops sliver spans (and flags): mirror it so a
+			// move stays bit-identical to the merge it stands for.
 			if tie != nil {
 				*tie = true
 			}

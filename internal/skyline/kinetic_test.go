@@ -171,8 +171,9 @@ func TestMoveDiskMatchesRecompute(t *testing.T) {
 	}
 }
 
-// InsertDiskInto must be byte-identical to the incremental construction's
-// insertion step, the Merge against the new disk's one-arc skyline.
+// MoveDiskInto on a skyline that holds no arc of the disk inserts it, and
+// must be byte-identical to the incremental construction's insertion step,
+// the Merge against the new disk's one-arc skyline.
 func TestInsertDiskIntoMatchesInsertDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(703))
 	var sc Scratch
@@ -184,8 +185,8 @@ func TestInsertDiskIntoMatchesInsertDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := insertDisk(disks, sl, n-1)
-		got := sc.InsertDiskInto(nil, disks, sl, n-1, nil)
-		requireSameSkyline(t, "InsertDiskInto", got, want)
+		got := sc.MoveDiskInto(nil, disks, sl, n-1, nil)
+		requireSameSkyline(t, "MoveDiskInto insert", got, want)
 	}
 }
 

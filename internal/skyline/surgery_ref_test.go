@@ -7,7 +7,7 @@ import (
 )
 
 // refSurgery is the kinetic surgery as it stood before its prunes were
-// bounded over the span: InsertDiskInto, MoveDiskInto and the freed-span
+// bounded over the span: insertion, MoveDiskInto and the freed-span
 // fight screen a challenger by its global maximum ray distance ‖c‖ + r,
 // and every floor places the away direction with an atan2 and takes the
 // Sincos of both span ends. The production surgery must return the same
@@ -195,11 +195,12 @@ func (op surgeryOp) String() string {
 
 // runSurgery runs op on disks[k] with the production surgery into dst and
 // with the reference into refDst, and returns both results and both tie
-// flags.
+// flags. The production surgery inserts with MoveDiskInto, since sl holds
+// no arc of disks[k].
 func runSurgery(sc *Scratch, rs *refSurgery, op surgeryOp, dst, refDst Skyline, disks []geom.Disk, sl Skyline, k int) (got, want Skyline, gotTie, wantTie bool) {
 	switch op {
 	case opInsert:
-		got = sc.InsertDiskInto(dst, disks, sl, k, &gotTie)
+		got = sc.MoveDiskInto(dst, disks, sl, k, &gotTie)
 		want = rs.insert(refDst, disks, sl, k, &wantTie)
 	case opRemove:
 		got = sc.RemoveDiskInto(dst, disks, sl, k, &gotTie)

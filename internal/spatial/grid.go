@@ -63,15 +63,6 @@ func (g *Grid) mustIndexed(i int) {
 	}
 }
 
-// CellCoord returns the integer coordinates of the grid cell currently
-// holding point i — the same key Cells() partitions and sorts by. Callers
-// use it to group points by owning cell without materializing Cells().
-func (g *Grid) CellCoord(i int) (x, y int) {
-	g.mustIndexed(i)
-	k := g.key(g.pts[i])
-	return k.x, k.y
-}
-
 // Insert indexes point i at p. The index must not be indexed already; it
 // may lie past every index seen so far.
 func (g *Grid) Insert(i int, p geom.Point) {

@@ -188,55 +188,6 @@ func TestNegativeCoordinates(t *testing.T) {
 	}
 }
 
-// TestCellCoordMatchesCells pins CellCoord against the partition Cells()
-// exposes: every point's reported cell must be shared with exactly the
-// points of one Cells() slice, and Move must be reflected immediately.
-func TestCellCoordMatchesCells(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pts := make([]geom.Point, 200)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*12.5-3, rng.Float64()*12.5-3)
-	}
-	g := NewGrid(pts, 1.25)
-	type coord struct{ x, y int }
-	byCoord := make(map[coord][]int)
-	for i := range pts {
-		x, y := g.CellCoord(i)
-		byCoord[coord{x, y}] = append(byCoord[coord{x, y}], i)
-	}
-	cells := g.Cells()
-	if len(cells) != len(byCoord) {
-		t.Fatalf("CellCoord groups into %d cells, Cells() has %d", len(byCoord), len(cells))
-	}
-	seen := 0
-	for _, cell := range cells {
-		x, y := g.CellCoord(cell[0])
-		group := byCoord[coord{x, y}]
-		if len(group) != len(cell) {
-			t.Fatalf("cell (%d,%d): CellCoord group %d points, Cells() slice %d", x, y, len(group), len(cell))
-		}
-		seen += len(cell)
-	}
-	if seen != len(pts) {
-		t.Fatalf("cells cover %d of %d points", seen, len(pts))
-	}
-
-	g.Move(0, geom.Pt(100, 100))
-	if x, y := g.CellCoord(0); x != int(100/1.25) || y != int(100/1.25) {
-		t.Fatalf("CellCoord after Move = (%d,%d), want (%d,%d)", x, y, int(100/1.25), int(100/1.25))
-	}
-}
-
-func TestCellCoordOutOfRangePanics(t *testing.T) {
-	g := NewGrid([]geom.Point{geom.Pt(0, 0)}, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for out-of-range index")
-		}
-	}()
-	g.CellCoord(1)
-}
-
 // TestInsertRemoveMatchesBruteForce drives random inserts (some past every
 // index seen so far), removals and moves, then checks Len, NumCells, the
 // Cells partition and every query against a brute-force scan of the
@@ -264,13 +215,9 @@ func TestInsertRemoveMatchesBruteForce(t *testing.T) {
 	}
 	seen := 0
 	for _, cell := range g.Cells() {
-		x, y := g.CellCoord(cell[0])
 		for _, i := range cell {
 			if _, ok := live[i]; !ok {
 				t.Fatalf("removed point %d still in a cell", i)
-			}
-			if cx, cy := g.CellCoord(i); cx != x || cy != y {
-				t.Fatalf("point %d listed in cell (%d,%d) but CellCoord says (%d,%d)", i, x, y, cx, cy)
 			}
 		}
 		seen += len(cell)
@@ -301,8 +248,8 @@ func TestInsertRemoveMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestInsertRemoveMisusePanics: inserting an indexed point, or removing,
-// moving or locating an absent one, panics instead of corrupting a cell.
+// TestInsertRemoveMisusePanics: inserting an indexed point, or removing or
+// moving an absent one, panics instead of corrupting a cell.
 func TestInsertRemoveMisusePanics(t *testing.T) {
 	g := NewGrid([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}, 1)
 	g.Remove(1)
@@ -311,7 +258,6 @@ func TestInsertRemoveMisusePanics(t *testing.T) {
 		"insert negative": func() { g.Insert(-1, geom.Pt(2, 2)) },
 		"remove removed":  func() { g.Remove(1) },
 		"move removed":    func() { g.Move(1, geom.Pt(2, 2)) },
-		"coord removed":   func() { g.CellCoord(1) },
 	} {
 		func() {
 			defer func() {
