@@ -246,29 +246,6 @@ func BenchmarkExactArea(b *testing.B) {
 	}
 }
 
-// BenchmarkSkylineQueries measures the O(log n) post-construction queries.
-func BenchmarkSkylineQueries(b *testing.B) {
-	const n = 4096
-	rng := rand.New(rand.NewSource(11))
-	disks := randomLocalDisks(rng, n)
-	sl, err := skyline.Compute(disks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("contains", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sl.Contains(disks, geom.Pt(rng.Float64()*4-2, rng.Float64()*4-2))
-		}
-	})
-	b.Run("radial-distance", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sl.RadialDistance(disks, rng.Float64()*geom.TwoPi)
-		}
-	})
-}
-
 // BenchmarkMoveNode compares incremental topology maintenance against a
 // full rebuild for a single node relocation — the per-HELLO-interval
 // operation of a mobile network.

@@ -32,8 +32,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // entry is one trajectory line. MS is the configuration's primary
@@ -360,10 +361,5 @@ func median(es []entry) float64 {
 	for i, e := range es {
 		ms[i] = e.MS
 	}
-	sort.Float64s(ms)
-	if n := len(ms); n%2 == 1 {
-		return ms[n/2]
-	} else {
-		return (ms[n/2-1] + ms[n/2]) / 2
-	}
+	return stats.Quantile(ms, 0.5)
 }

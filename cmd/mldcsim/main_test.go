@@ -166,7 +166,7 @@ func TestDebugServer(t *testing.T) {
 
 	get := func(path string) string {
 		t.Helper()
-		resp, err := http.Get(srv.URL() + path)
+		resp, err := http.Get("http://" + srv.Addr() + path)
 		if err != nil {
 			t.Fatal(err)
 		}

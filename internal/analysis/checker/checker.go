@@ -137,17 +137,13 @@ func NewInfo() *types.Info {
 	}
 }
 
-// Load resolves patterns with the go toolchain and returns the matched
-// non-standard-library packages, parsed with comments and type-checked
-// from source. Imports (in-module and standard library alike) are
-// satisfied from the export data `go list -export` produced.
-func Load(patterns []string) ([]*Package, error) {
-	return LoadTags(patterns, "")
-}
-
-// LoadTags is Load under additional build tags (comma-separated, as for
-// `go build -tags`). The mutation-canary test uses it to lint the
-// `mldcsmutate` build of the engine, which a plain Load never sees.
+// LoadTags resolves patterns with the go toolchain and returns the
+// matched non-standard-library packages, parsed with comments and
+// type-checked from source. Imports (in-module and standard library
+// alike) are satisfied from the export data `go list -export` produced.
+// tags are extra build tags (comma-separated, as for `go build -tags`;
+// "" for none): the mutation-canary test lints the `mldcsmutate` build
+// of the engine with them.
 func LoadTags(patterns []string, tags string) ([]*Package, error) {
 	extra := []string{"-deps"}
 	if tags != "" {
@@ -225,14 +221,6 @@ func (st *RunStats) add(name string, d time.Duration) {
 	st.mu.Lock()
 	st.Analyzer[name] += d
 	st.mu.Unlock()
-}
-
-// Run applies each analyzer to each package and returns all diagnostics
-// sorted by position. Equivalent to RunSuite with a fresh fact store and
-// discarded stats; the fixture harness and older tests use it.
-func Run(as []*analysis.Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	diags, _, err := RunSuite(as, pkgs, NewFactStore())
-	return diags, err
 }
 
 // RunSuite fans the analyzer suite out over the loaded packages —

@@ -14,12 +14,12 @@ import (
 // go-list/export-data pipeline and runs one analyzer over it: the
 // predicates layer is exempt from floatcmp, so the run must be clean.
 func TestLoadAndRunCleanPackage(t *testing.T) {
-	pkgs, err := checker.Load([]string{"repro/internal/geom"})
+	pkgs, err := checker.LoadTags([]string{"repro/internal/geom"}, "")
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadTags: %v", err)
 	}
 	if len(pkgs) != 1 {
-		t.Fatalf("Load returned %d packages, want 1", len(pkgs))
+		t.Fatalf("LoadTags returned %d packages, want 1", len(pkgs))
 	}
 	pkg := pkgs[0]
 	if pkg.Path != "repro/internal/geom" {
@@ -31,9 +31,9 @@ func TestLoadAndRunCleanPackage(t *testing.T) {
 	if err := pkg.Err(); err != nil {
 		t.Fatalf("load errors: %v", err)
 	}
-	diags, err := checker.Run([]*analysis.Analyzer{floatcmp.Analyzer}, pkgs)
+	diags, _, err := checker.RunSuite([]*analysis.Analyzer{floatcmp.Analyzer}, pkgs, checker.NewFactStore())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunSuite: %v", err)
 	}
 	if len(diags) != 0 {
 		t.Errorf("floatcmp on the exempt predicates layer reported %d diagnostics: %v", len(diags), diags)

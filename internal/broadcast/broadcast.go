@@ -44,12 +44,12 @@ type Result struct {
 	// Received[v] reports whether node v got the message.
 	Received []bool
 	// Parent[v] is the node from which v first received the message (−1
-	// for the source and for nodes that never received). Populated by Run
-	// and RunCached; other simulations leave it nil. The parent pointers
+	// for the source and for nodes that never received). Populated by
+	// Run; other simulations leave it nil. The parent pointers
 	// form the reverse-path tree that route discovery walks back.
 	Parent []int
-	// Transmitted[v] reports whether node v transmitted. Populated by Run
-	// and RunCached; other simulations leave it nil. Energy accounting
+	// Transmitted[v] reports whether node v transmitted. Populated by
+	// Run; other simulations leave it nil. Energy accounting
 	// (transmission cost ∝ r²) is built on this.
 	Transmitted []bool
 }
@@ -200,34 +200,4 @@ func Run(g *network.Graph, source int, fwd forwarding.Selector) (Result, error) 
 func containsID(sorted []int, id int) bool {
 	i := sort.SearchInts(sorted, id)
 	return i < len(sorted) && sorted[i] == id
-}
-
-// RunCached is Run with forwarding sets precomputed for every node. Use it
-// when simulating many broadcasts on the same graph.
-func RunCached(g *network.Graph, source int, sets [][]int) (Result, error) {
-	if len(sets) != g.Len() {
-		return Result{}, fmt.Errorf("broadcast: %d forwarding sets for %d nodes", len(sets), g.Len())
-	}
-	return Run(g, source, cachedSelector{sets})
-}
-
-// PrecomputeSets evaluates the selector for every node of the graph.
-func PrecomputeSets(g *network.Graph, fwd forwarding.Selector) ([][]int, error) {
-	sets := make([][]int, g.Len())
-	for u := 0; u < g.Len(); u++ {
-		set, err := fwd.Select(g, u)
-		if err != nil {
-			return nil, fmt.Errorf("broadcast: selecting for node %d: %w", u, err)
-		}
-		sets[u] = set
-	}
-	return sets, nil
-}
-
-type cachedSelector struct{ sets [][]int }
-
-func (c cachedSelector) Name() string { return "cached" }
-
-func (c cachedSelector) Select(_ *network.Graph, u int) ([]int, error) {
-	return c.sets[u], nil
 }

@@ -150,32 +150,6 @@ func TestSkylineBroadcastCompleteHomogeneous(t *testing.T) {
 	}
 }
 
-func TestPrecomputeAndRunCached(t *testing.T) {
-	g := paperGraph(t, deploy.Homogeneous, 8, 700)
-	sets, err := PrecomputeSets(g, forwarding.Greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != g.Len() {
-		t.Fatalf("PrecomputeSets returned %d sets", len(sets))
-	}
-	cached, err := RunCached(g, 0, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Run(g, 0, forwarding.Greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Transmissions != direct.Transmissions || cached.Delivered != direct.Delivered ||
-		cached.Redundant != direct.Redundant || cached.MaxHop != direct.MaxHop {
-		t.Errorf("cached run %+v differs from direct %+v", cached, direct)
-	}
-	if _, err := RunCached(g, 0, sets[:1]); err == nil {
-		t.Error("mismatched set count must fail")
-	}
-}
-
 // Determinism: identical inputs give identical results.
 func TestRunDeterministic(t *testing.T) {
 	g := paperGraph(t, deploy.Heterogeneous, 8, 800)

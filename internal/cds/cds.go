@@ -216,66 +216,3 @@ func MISConnect(g *network.Graph, root int) ([]int, error) {
 	sort.Ints(out)
 	return out, nil
 }
-
-// IsDominatingSet reports whether every node of g is in the set or
-// adjacent to a member. restrict limits the check to nodes reachable from
-// a given root (pass −1 to check all nodes).
-func IsDominatingSet(g *network.Graph, set []int, root int) bool {
-	in := make(map[int]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	var dist []int
-	if root >= 0 {
-		dist = g.HopDistances(root)
-	}
-	for v := 0; v < g.Len(); v++ {
-		if root >= 0 && dist[v] < 0 {
-			continue
-		}
-		if in[v] {
-			continue
-		}
-		dominated := false
-		for _, w := range g.Neighbors(v) {
-			if in[w] {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			// A node with no neighbors in the considered region cannot be
-			// dominated unless it is a member; isolated nodes fail here.
-			if g.Degree(v) == 0 && root < 0 {
-				continue // isolated nodes are conventionally exempt
-			}
-			return false
-		}
-	}
-	return true
-}
-
-// IsConnectedSet reports whether the subgraph induced by the set is
-// connected (trivially true for sets of size ≤ 1).
-func IsConnectedSet(g *network.Graph, set []int) bool {
-	if len(set) <= 1 {
-		return true
-	}
-	in := make(map[int]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	seen := map[int]bool{set[0]: true}
-	queue := []int{set[0]}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(u) {
-			if in[w] && !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return len(seen) == len(set)
-}

@@ -91,10 +91,10 @@ func TestWuLiDominatingAndConnected(t *testing.T) {
 			if len(inComp) == 0 {
 				continue
 			}
-			if !IsDominatingSet(g, inComp, 0) {
+			if !isDominatingSet(g, inComp, 0) {
 				t.Fatalf("%v seed %d: Wu–Li set not dominating on the source component", model, seed)
 			}
-			if !IsConnectedSet(g, inComp) {
+			if !isConnectedSet(g, inComp) {
 				t.Fatalf("%v seed %d: Wu–Li set not connected on the source component", model, seed)
 			}
 		}
@@ -108,10 +108,10 @@ func TestMISConnectValidity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !IsDominatingSet(g, set, 0) {
+		if !isDominatingSet(g, set, 0) {
 			t.Fatalf("seed %d: MIS CDS not dominating over source component", seed)
 		}
-		if !IsConnectedSet(g, set) {
+		if !isConnectedSet(g, set) {
 			t.Fatalf("seed %d: MIS CDS not connected (size %d)", seed, len(set))
 		}
 	}
@@ -153,23 +153,23 @@ func TestBackboneBroadcastDelivers(t *testing.T) {
 
 func TestIsConnectedSet(t *testing.T) {
 	g := chain(t, 5)
-	if !IsConnectedSet(g, []int{1, 2, 3}) {
+	if !isConnectedSet(g, []int{1, 2, 3}) {
 		t.Error("contiguous chain interior is connected")
 	}
-	if IsConnectedSet(g, []int{0, 4}) {
+	if isConnectedSet(g, []int{0, 4}) {
 		t.Error("chain endpoints alone are not connected")
 	}
-	if !IsConnectedSet(g, []int{2}) || !IsConnectedSet(g, nil) {
+	if !isConnectedSet(g, []int{2}) || !isConnectedSet(g, nil) {
 		t.Error("sets of size ≤ 1 are trivially connected")
 	}
 }
 
 func TestIsDominatingSet(t *testing.T) {
 	g := chain(t, 5)
-	if !IsDominatingSet(g, []int{1, 3}, -1) {
+	if !isDominatingSet(g, []int{1, 3}, -1) {
 		t.Error("{1,3} dominates the 5-chain")
 	}
-	if IsDominatingSet(g, []int{0}, -1) {
+	if isDominatingSet(g, []int{0}, -1) {
 		t.Error("{0} does not dominate the 5-chain")
 	}
 	// Restricted to the component of node 0 on a disconnected graph.
@@ -182,7 +182,7 @@ func TestIsDominatingSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsDominatingSet(gd, []int{0}, 0) {
+	if !isDominatingSet(gd, []int{0}, 0) {
 		t.Error("{0} dominates node 0's component")
 	}
 }
@@ -195,4 +195,67 @@ func TestBackboneValidation(t *testing.T) {
 	if _, err := broadcast.RunWithBackbone(g, 0, []int{99}); err == nil {
 		t.Error("bad backbone node must fail")
 	}
+}
+
+// isDominatingSet reports whether every node of g is in the set or
+// adjacent to a member. restrict limits the check to nodes reachable from
+// a given root (pass −1 to check all nodes).
+func isDominatingSet(g *network.Graph, set []int, root int) bool {
+	in := make(map[int]bool, len(set))
+	for _, v := range set {
+		in[v] = true
+	}
+	var dist []int
+	if root >= 0 {
+		dist = g.HopDistances(root)
+	}
+	for v := 0; v < g.Len(); v++ {
+		if root >= 0 && dist[v] < 0 {
+			continue
+		}
+		if in[v] {
+			continue
+		}
+		dominated := false
+		for _, w := range g.Neighbors(v) {
+			if in[w] {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			// A node with no neighbors in the considered region cannot be
+			// dominated unless it is a member; isolated nodes fail here.
+			if g.Degree(v) == 0 && root < 0 {
+				continue // isolated nodes are conventionally exempt
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// isConnectedSet reports whether the subgraph induced by the set is
+// connected (trivially true for sets of size ≤ 1).
+func isConnectedSet(g *network.Graph, set []int) bool {
+	if len(set) <= 1 {
+		return true
+	}
+	in := make(map[int]bool, len(set))
+	for _, v := range set {
+		in[v] = true
+	}
+	seen := map[int]bool{set[0]: true}
+	queue := []int{set[0]}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, w := range g.Neighbors(u) {
+			if in[w] && !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	return len(seen) == len(set)
 }

@@ -1,9 +1,8 @@
-package cds_test
+package cds
 
 import (
 	"fmt"
 
-	"repro/internal/cds"
 	"repro/internal/geom"
 	"repro/internal/network"
 )
@@ -19,7 +18,7 @@ func ExampleWuLi() {
 	if err != nil {
 		panic(err)
 	}
-	set := cds.WuLi(g)
-	fmt.Println(set, cds.IsDominatingSet(g, set, -1), cds.IsConnectedSet(g, set))
+	set := WuLi(g)
+	fmt.Println(set, isDominatingSet(g, set, -1), isConnectedSet(g, set))
 	// Output: [1 2 3] true true
 }

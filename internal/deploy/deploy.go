@@ -145,42 +145,12 @@ func (c Config) drawRadius(rng *rand.Rand) float64 {
 	return c.RadiusMin + rng.Float64()*(c.RadiusMax-c.RadiusMin)
 }
 
-// GenerateClustered places nodes in Gaussian clusters whose centers are
-// uniform over the region — a non-uniform workload exercising dense local
-// neighborhoods. clusters must be ≥ 1 and spread > 0.
-func GenerateClustered(c Config, clusters int, spread float64, rng *rand.Rand) ([]network.Node, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if clusters < 1 {
-		return nil, fmt.Errorf("deploy: clusters %d must be ≥ 1", clusters)
-	}
-	if !(spread > 0) {
-		return nil, fmt.Errorf("deploy: spread %g must be positive", spread)
-	}
-	centers := make([]geom.Point, clusters)
-	for i := range centers {
-		centers[i] = geom.Pt(rng.Float64()*c.Side, rng.Float64()*c.Side)
-	}
-	count := c.NodeCount()
-	nodes := make([]network.Node, count)
-	for i := range nodes {
-		pos := geom.Pt(c.Side/2, c.Side/2)
-		if !(i == 0 && c.SourceAtCenter) {
-			center := centers[rng.Intn(clusters)]
-			pos = geom.Pt(
-				clampTo(center.X+rng.NormFloat64()*spread, 0, c.Side),
-				clampTo(center.Y+rng.NormFloat64()*spread, 0, c.Side),
-			)
-		}
-		nodes[i] = network.Node{ID: i, Pos: pos, Radius: c.drawRadius(rng)}
-	}
-	return nodes, nil
-}
-
 // GeneratePerturbedGrid places nodes on a √N × √N grid jittered by a
 // fraction of the grid pitch — a near-regular workload with tightly
 // controlled degrees.
+//
+// Test support: the engine's differential tests and benchmarks deploy on
+// it; no production code calls it.
 func GeneratePerturbedGrid(c Config, jitter float64, rng *rand.Rand) ([]network.Node, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -162,29 +162,6 @@ func TestGeneratedDegreeMatchesTarget(t *testing.T) {
 	}
 }
 
-func TestGenerateClustered(t *testing.T) {
-	c := PaperConfig(Homogeneous, 10)
-	rng := rand.New(rand.NewSource(19))
-	nodes, err := GenerateClustered(c, 5, 1.0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != c.NodeCount() {
-		t.Fatalf("clustered generated %d nodes", len(nodes))
-	}
-	for _, n := range nodes {
-		if n.Pos.X < 0 || n.Pos.X > c.Side || n.Pos.Y < 0 || n.Pos.Y > c.Side {
-			t.Fatalf("node outside region: %v", n.Pos)
-		}
-	}
-	if _, err := GenerateClustered(c, 0, 1, rng); err == nil {
-		t.Error("zero clusters must fail")
-	}
-	if _, err := GenerateClustered(c, 3, 0, rng); err == nil {
-		t.Error("zero spread must fail")
-	}
-}
-
 func TestGeneratePerturbedGrid(t *testing.T) {
 	c := PaperConfig(Heterogeneous, 8)
 	rng := rand.New(rand.NewSource(20))

@@ -52,7 +52,7 @@ func runAndMaybeBank(t *testing.T, cfg SeedConfig, logDir string, bankable bool)
 	}
 	defer logf.Close()
 
-	stats, err := RunSeed(cfg, logf)
+	stats, err := runSeed(cfg, logf)
 	if err != nil {
 		if bankable {
 			bankSeed(t, cfg, err)

@@ -1,11 +1,3 @@
-// Package e2e is the seeded chaos harness for the mldcsd service: it
-// drives random action streams — ingest bursts, concurrent queries,
-// malformed requests, mid-body client disconnects, restart-under-load —
-// against a live HTTP server, then drains and checks the converged state
-// byte-for-byte against the offline sequential oracle (network.Build +
-// Graph.LocalSet + mldcs.Solve). Failing seeds are banked into
-// testdata/regression_seeds.json and replayed by CI forever after. See
-// docs/TESTING.md ("Chaos e2e harness").
 package e2e
 
 import (
@@ -46,21 +38,6 @@ const ProfileMobility = "mobility"
 // changes only the slot's key — and through the exact-duplicate
 // tie-break, where the lower external ID must represent.
 const ProfileChurn = "churn"
-
-// Model is the harness's intended world: what the server must converge
-// to once every accepted batch has applied. It mirrors the mldcsd apply
-// semantics exactly (join upserts, move/radius/leave of absent nodes are
-// ignored); internal/e2e and internal/mldcsd drifting apart here is
-// precisely the bug class the final oracle comparison catches.
-type Model struct {
-	Nodes  map[int64]ModelNode
-	NextID int64
-}
-
-// ModelNode is one intended node state.
-type ModelNode struct {
-	X, Y, R float64
-}
 
 func (m *Model) apply(b mldcsd.Batch) {
 	for _, d := range b.Deltas {

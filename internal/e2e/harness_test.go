@@ -16,9 +16,9 @@ import (
 	"repro/internal/mldcsd"
 )
 
-// RunStats summarizes one chaos run, for the JSONL log and for test
+// runStats summarizes one chaos run, for the JSONL log and for test
 // assertions that the stream actually exercised every chaos class.
-type RunStats struct {
+type runStats struct {
 	Seed        int64  `json:"seed"`
 	Batches     int    `json:"batches"`      // accepted ingest batches (incl. syncs)
 	Deltas      int    `json:"deltas"`       // deltas inside them
@@ -32,7 +32,7 @@ type RunStats struct {
 	FinalEpoch  uint64 `json:"final_epoch"`
 }
 
-// RunSeed drives one full chaos run: boot a live mldcsd server on an
+// runSeed drives one full chaos run: boot a live mldcsd server on an
 // ephemeral port, stream the seed's action sequence at it while query
 // workers hammer reads, then drain and compare the converged state
 // byte-for-byte against the sequential oracle. A non-nil error means
@@ -41,7 +41,7 @@ type RunStats struct {
 //
 // The log, when non-nil, receives one JSON line per driver action and a
 // final verdict line; CI uploads it on failure.
-func RunSeed(cfg SeedConfig, logw io.Writer) (RunStats, error) {
+func runSeed(cfg SeedConfig, logw io.Writer) (runStats, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 36
 	}
@@ -51,7 +51,7 @@ func RunSeed(cfg SeedConfig, logw io.Writer) (RunStats, error) {
 	h := &harness{
 		cfg:   cfg,
 		gen:   newGenerator(cfg),
-		stats: RunStats{Seed: cfg.Seed},
+		stats: runStats{Seed: cfg.Seed},
 		log:   logw,
 		// Fixed ID bound for query workers: the model grows under the
 		// driver's feet, so readers probe a static superset (absent IDs
@@ -92,7 +92,7 @@ func RunSeed(cfg SeedConfig, logw io.Writer) (RunStats, error) {
 type harness struct {
 	cfg     SeedConfig
 	gen     *generator
-	stats   RunStats
+	stats   runStats
 	idBound int64
 	log     io.Writer
 	logMu   sync.Mutex
@@ -123,7 +123,7 @@ func (h *harness) start() error {
 		return fmt.Errorf("start server: %w", err)
 	}
 	h.mu.Lock()
-	h.core, h.httpSrv, h.baseURL = core, srv, srv.URL()
+	h.core, h.httpSrv, h.baseURL = core, srv, "http://"+srv.Addr()
 	h.lastSeq = 0
 	h.mu.Unlock()
 	return nil
@@ -526,4 +526,33 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// compareStates checks the served state against the oracle byte for byte
+// and, on divergence, names the first differing node so a banked seed's
+// failure is immediately readable.
+func compareStates(served, oracle []mldcsd.NodeState) error {
+	sb, err := json.Marshal(served)
+	if err != nil {
+		return err
+	}
+	ob, err := json.Marshal(oracle)
+	if err != nil {
+		return err
+	}
+	if string(sb) == string(ob) {
+		return nil
+	}
+	// Byte mismatch: locate the first node-level difference.
+	if len(served) != len(oracle) {
+		return fmt.Errorf("diverged: server has %d nodes, oracle %d", len(served), len(oracle))
+	}
+	for i := range served {
+		s1, _ := json.Marshal(served[i])
+		o1, _ := json.Marshal(oracle[i])
+		if string(s1) != string(o1) {
+			return fmt.Errorf("diverged at node %d:\n  server: %s\n  oracle: %s", served[i].ID, s1, o1)
+		}
+	}
+	return fmt.Errorf("diverged: same nodes, different document bytes:\n  server: %.200s\n  oracle: %.200s", sb, ob)
 }

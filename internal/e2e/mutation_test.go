@@ -20,7 +20,7 @@ func TestMutationCaught(t *testing.T) {
 	caught := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := runConfig(seed)
-		_, err := RunSeed(cfg, io.Discard)
+		_, err := runSeed(cfg, io.Discard)
 		if err == nil {
 			continue
 		}

@@ -1,7 +1,6 @@
 package e2e
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -63,33 +62,4 @@ func OracleNodes(m *Model) ([]mldcsd.NodeState, error) {
 		hubIn[u] = res.ContainsHub()
 	}
 	return mldcsd.CanonicalNodes(ids, xs, ys, rs, neighbors, forwarding, hubIn, func(u int) int64 { return ids[u] }), nil
-}
-
-// compareStates checks the served state against the oracle byte for byte
-// and, on divergence, names the first differing node so a banked seed's
-// failure is immediately readable.
-func compareStates(served, oracle []mldcsd.NodeState) error {
-	sb, err := json.Marshal(served)
-	if err != nil {
-		return err
-	}
-	ob, err := json.Marshal(oracle)
-	if err != nil {
-		return err
-	}
-	if string(sb) == string(ob) {
-		return nil
-	}
-	// Byte mismatch: locate the first node-level difference.
-	if len(served) != len(oracle) {
-		return fmt.Errorf("diverged: server has %d nodes, oracle %d", len(served), len(oracle))
-	}
-	for i := range served {
-		s1, _ := json.Marshal(served[i])
-		o1, _ := json.Marshal(oracle[i])
-		if string(s1) != string(o1) {
-			return fmt.Errorf("diverged at node %d:\n  server: %s\n  oracle: %s", served[i].ID, s1, o1)
-		}
-	}
-	return fmt.Errorf("diverged: same nodes, different document bytes:\n  server: %.200s\n  oracle: %.200s", sb, ob)
 }

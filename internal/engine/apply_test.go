@@ -12,6 +12,9 @@ import (
 	"repro/internal/spatial"
 )
 
+// slots returns v's slot range: accessors take 0 ≤ u < slots().
+func (v *View) slots() int { return v.n }
+
 // TestUpdateReportsLiveCellCount is the Stats.Cells regression: Update and
 // the incremental pass used to copy the occupied-cell count from the last
 // Compute, but a move can create and empty grid cells. Three nodes share
@@ -75,9 +78,9 @@ func TestApplyValidation(t *testing.T) {
 		}
 	}
 	v := e.View()
-	if v.Epoch != 1 || v.Len() != 2 || v.Node(0).Pos != nodes[0].Pos || len(v.Neighbors(0)) != 1 {
+	if v.Epoch != 1 || v.slots() != 2 || v.Node(0).Pos != nodes[0].Pos || len(v.Neighbors(0)) != 1 {
 		t.Fatalf("failed Applies changed the engine: epoch %d, len %d, node 0 %+v, neighbors %v",
-			v.Epoch, v.Len(), v.Node(0), v.Neighbors(0))
+			v.Epoch, v.slots(), v.Node(0), v.Neighbors(0))
 	}
 }
 
@@ -94,7 +97,7 @@ type viewCopy struct {
 
 func copyView(v *View) viewCopy {
 	c := viewCopy{epoch: v.Epoch, stats: v.Stats}
-	for u := 0; u < v.Len(); u++ {
+	for u := 0; u < v.slots(); u++ {
 		c.nodes = append(c.nodes, v.Node(u))
 		c.keys = append(c.keys, v.Key(u))
 		c.nbrs = append(c.nbrs, append([]int{}, v.Neighbors(u)...))
@@ -342,8 +345,8 @@ func requireViewMatchesModel(t *testing.T, label string, v *View, m *slotModel, 
 		pts[i] = nd.Pos
 	}
 	cells := spatial.NewGrid(pts, cell).NumCells()
-	if v.Len() != m.slots {
-		t.Fatalf("%s: Len %d, want %d slots", label, v.Len(), m.slots)
+	if v.slots() != m.slots {
+		t.Fatalf("%s: Len %d, want %d slots", label, v.slots(), m.slots)
 	}
 	mapKeys := func(list []int, key func(int) int64) []int64 {
 		out := make([]int64, 0, len(list))
@@ -355,7 +358,7 @@ func requireViewMatchesModel(t *testing.T, label string, v *View, m *slotModel, 
 	}
 	dense := func(i int) int64 { return keys[i] }
 	live := 0
-	for s := 0; s < v.Len(); s++ {
+	for s := 0; s < v.slots(); s++ {
 		d, ok := m.nodes[s]
 		nd := v.Node(s)
 		if !ok {

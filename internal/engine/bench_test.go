@@ -170,7 +170,7 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkApply measures one incremental pass through Apply at 100k
-// nodes: on one worker and on two, and on one worker with DisableRepair,
+// nodes: on one worker and on two, and on one worker with disableRepair,
 // the baseline kinetic repair is measured against. The engine is built as
 // mldcsd builds it (curveEngine), so its slots follow the Hilbert curve
 // and the cells time the memory layout the service serves. movers=k: k
@@ -195,7 +195,7 @@ func BenchmarkApply(b *testing.B) {
 	}{
 		{"workers=1", Config{Workers: 1}},
 		{"workers=2", Config{Workers: 2}},
-		{"workers=1/repair=off", Config{Workers: 1, DisableRepair: true}},
+		{"workers=1/repair=off", Config{Workers: 1, disableRepair: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) { benchApply(b, n, c.cfg) })
 	}
@@ -335,10 +335,10 @@ func TestEngineBenchReport(t *testing.T) {
 	// Update section: 40 Apply passes of benchMovers' uniform process over
 	// the same deployment (≈1% of nodes drift a little each pass), run
 	// twice from the same seeds — once with kinetic repair, once with
-	// DisableRepair — so the two rows differ only in the repair strategy.
+	// disableRepair — so the two rows differ only in the repair strategy.
 	movedPerTick := 1 + n/100
 	repair := benchUpdateRun(t, "update-repair", n, movedPerTick, Config{Workers: workers})
-	recomp := benchUpdateRun(t, "update-recompute", n, movedPerTick, Config{Workers: workers, DisableRepair: true})
+	recomp := benchUpdateRun(t, "update-recompute", n, movedPerTick, Config{Workers: workers, disableRepair: true})
 	if repair.TickP50MS > 0 {
 		repair.SpeedupP50 = recomp.TickP50MS / repair.TickP50MS
 	}

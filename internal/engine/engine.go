@@ -38,17 +38,18 @@ type Config struct {
 	// Workers is the number of concurrent shard workers; ≤ 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// DisableRepair turns off the kinetic repair fast path: every dirty
-	// node of an Apply pass recomputes its skyline from scratch, as the
-	// engine did before repair existed. For benchmarking (BenchmarkApply's
-	// repair=off cells and the BENCH_engine.json update-recompute row
-	// measure repair against exactly this baseline) and for bisecting a
-	// suspected repair bug in production.
-	DisableRepair bool
 
 	// Deprecated: the engine has no skyline cache any more; Cache is
 	// ignored. It remains only so existing callers still compile.
 	Cache bool
+
+	// disableRepair, settable only by in-package tests, turns off the
+	// kinetic repair fast path: every dirty node of an Apply pass
+	// recomputes its skyline from scratch, as the engine did before
+	// repair existed. BenchmarkApply's repair=off cells and the
+	// BENCH_engine.json update-recompute row measure repair against
+	// exactly this baseline.
+	disableRepair bool
 }
 
 // Delta is one entry of an Apply call: slot Slot's state after the pass.
@@ -364,9 +365,6 @@ func (e *Engine) publish() *View {
 // View before the first pass).
 func (e *Engine) View() *View { return e.view }
 
-// Result returns the flat rendering of the last published View.
-func (e *Engine) Result() *Result { return e.view.Result() }
-
 // scratch holds one worker's reusable buffers, including the skyline
 // package's working memory. All slices are grown once and then recycled,
 // and per-node outputs are compare-and-kept against the previous pass, so
@@ -483,7 +481,7 @@ func (e *Engine) computeNode(u int, sc *scratch) {
 //
 //mldcs:hotpath
 func (e *Engine) keepKin(u int, sl skyline.Skyline) {
-	if e.cfg.DisableRepair {
+	if e.cfg.disableRepair {
 		return
 	}
 	st := e.kin[u]

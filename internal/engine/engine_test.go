@@ -158,7 +158,7 @@ func TestEngineSnapshotIsolation(t *testing.T) {
 	if !equalSets(before.Forwarding[0], wantFwd) || !equalSets(before.Neighbors[0], wantNbr) {
 		t.Fatalf("snapshot mutated by Update: fwd=%v nbrs=%v", before.Forwarding[0], before.Neighbors[0])
 	}
-	after := e.Result()
+	after := e.View().Result()
 	if len(after.Neighbors[0]) != 1 || after.Neighbors[0][0] != 2 {
 		t.Fatalf("after move, node 0 neighbors = %v, want [2]", after.Neighbors[0])
 	}

@@ -72,9 +72,9 @@ func sameState(a, b Delta) bool {
 // the slot's current state is ignored, and when a slot repeats the last
 // entry wins. Slots are the caller's stable node IDs: a slot may lie past
 // the current range (growing it; every new slot starts absent) as long as
-// it is below Len() + len(ds), which a caller that appends new slots one
-// at a time never exceeds. A leave and a join that reuse one slot in the
-// same call is a move to wherever the joiner is.
+// it is below the range's end plus len(ds), which a caller that appends
+// new slots one at a time never exceeds. A leave and a join that reuse
+// one slot in the same call is a move to wherever the joiner is.
 //
 // It implements the paper's §5.1.1 point that 1-hop structures are cheap
 // to maintain: a node's forwarding set can only change when its own local

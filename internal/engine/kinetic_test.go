@@ -118,7 +118,7 @@ func TestEngineUpdateRepairMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestEngineUpdateDisableRepair: the escape hatch must recompute every
+// TestEngineUpdateDisableRepair: the repair-off baseline must recompute every
 // dirty node and still agree with a fresh Compute.
 func TestEngineUpdateDisableRepair(t *testing.T) {
 	nodes, _, err := benchDeployment(200, 17)
@@ -126,7 +126,7 @@ func TestEngineUpdateDisableRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(78))
-	e := New(Config{Workers: 4, DisableRepair: true})
+	e := New(Config{Workers: 4, disableRepair: true})
 	if _, err := e.Compute(nodes); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestEngineUpdateDisableRepair(t *testing.T) {
 		}
 		requireSameResult(t, fmt.Sprintf("disable-repair step %d", step), got, want)
 		if got.Stats.Repaired != 0 {
-			t.Fatalf("step %d: DisableRepair engine repaired %d nodes", step, got.Stats.Repaired)
+			t.Fatalf("step %d: disableRepair engine repaired %d nodes", step, got.Stats.Repaired)
 		}
 		if got.Stats.Recomputed != got.Stats.Dirty {
 			t.Fatalf("step %d: recomputed %d != dirty %d", step, got.Stats.Recomputed, got.Stats.Dirty)

@@ -85,8 +85,8 @@ func TestSnapshotConsistencyUnderUpdate(t *testing.T) {
 	}
 
 	checkView := func(v *View) {
-		if v.Len() != n || v.Stats.Nodes != n {
-			t.Errorf("epoch %d: view Len %d, Stats.Nodes %d, want %d", v.Epoch, v.Len(), v.Stats.Nodes, n)
+		if v.slots() != n || v.Stats.Nodes != n {
+			t.Errorf("epoch %d: view slots %d, Stats.Nodes %d, want %d", v.Epoch, v.slots(), v.Stats.Nodes, n)
 			return
 		}
 		edges := 0
@@ -174,7 +174,7 @@ func TestSnapshotConsistencyUnderUpdate(t *testing.T) {
 	wg.Wait()
 
 	// The engine's own view agrees with the last published snapshot.
-	if got := e.Result().Epoch; got != uint64(ticks)+1 {
+	if got := e.View().Result().Epoch; got != uint64(ticks)+1 {
 		t.Fatalf("final epoch = %d, want %d", got, ticks+1)
 	}
 }

@@ -160,13 +160,11 @@ type View struct {
 	pages []*page
 }
 
-// Len returns the slot range: accessors take 0 ≤ u < Len(). A slot that
-// holds no node (an absent slot: never filled, or left) returns a
-// zero-radius Node, key 0 and empty lists; Stats.Nodes counts the present
-// ones.
-func (v *View) Len() int { return v.n }
-
 // Node returns node u as the pass saw it: ID u, position and radius.
+// The accessors take any slot 0 ≤ u < n, n being the engine's slot count
+// (the length of Result's per-node slices). A slot that holds no node (an
+// absent slot: never filled, or left) returns a zero-radius Node, key 0
+// and empty lists; Stats.Nodes counts the present ones.
 func (v *View) Node(u int) network.Node { return v.pages[u>>pageShift].node[u&pageMask] }
 
 // Key returns slot u's ordering key: the dense ID for Compute and Update,
@@ -185,7 +183,7 @@ func (v *View) Forwarding(u int) []int { return v.pages[u>>pageShift].fwd[u&page
 // cover set.
 func (v *View) HubInCover(u int) bool { return v.pages[u>>pageShift].hubIn[u&pageMask] }
 
-// Result renders the View as a flat Result, O(Len()): fresh top-level
+// Result renders the View as a flat Result, O(slots): fresh top-level
 // slices whose per-node sub-slices are shared with the View.
 func (v *View) Result() *Result {
 	fwd := make([][]int, v.n)

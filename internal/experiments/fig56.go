@@ -5,28 +5,9 @@ import (
 
 	"repro/internal/deploy"
 	"repro/internal/forwarding"
-	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/stats"
 )
-
-// Fig56Graph builds the exact six-node construction of the paper's Figure
-// 5.6: a source u with neighbors u1, u2, u3, where u3's large disk
-// dominates the local union (so the skyline set is {u3}) but the 2-hop
-// nodes u4 and u5 — geometrically inside u3's disk — have radii too small
-// to reach back to u3, so they are not u3's neighbors and a u3-only
-// forwarding set strands them. The optimal forwarding set is {u1, u2}.
-func Fig56Graph() (*network.Graph, error) {
-	nodes := []network.Node{
-		{ID: 0, Pos: geom.Pt(0, 0), Radius: 1},
-		{ID: 1, Pos: geom.Pt(0.8, 0.3), Radius: 1},
-		{ID: 2, Pos: geom.Pt(0.8, -0.3), Radius: 1},
-		{ID: 3, Pos: geom.Pt(0.5, 0), Radius: 2.5},
-		{ID: 4, Pos: geom.Pt(1.7, 0.3), Radius: 0.95},
-		{ID: 5, Pos: geom.Pt(1.7, -0.3), Radius: 0.95},
-	}
-	return network.Build(nodes, network.Bidirectional)
-}
 
 // Fig56 reproduces the paper's §5.1.2 drawback discussion around Figure
 // 5.6 quantitatively. It reports, over heterogeneous random networks for

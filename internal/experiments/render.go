@@ -13,15 +13,6 @@ func (f Figure) JSON() ([]byte, error) {
 	return json.MarshalIndent(f, "", "  ")
 }
 
-// FigureFromJSON parses a figure previously rendered with JSON.
-func FigureFromJSON(data []byte) (Figure, error) {
-	var f Figure
-	if err := json.Unmarshal(data, &f); err != nil {
-		return Figure{}, fmt.Errorf("experiments: parsing figure: %w", err)
-	}
-	return f, nil
-}
-
 // Bars renders one series of the figure as a horizontal ASCII bar chart —
 // the terminal-friendly form of the paper's distribution figures. width is
 // the maximum bar length in characters (≤ 0 selects 50).

@@ -166,7 +166,7 @@ func TestCalinescuQuadrantVariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Covers(g, 0, quad) {
+		if !covers(g, 0, quad) {
 			t.Fatalf("seed %d: quadrant set %v misses %v", seed, quad, Uncovered(g, 0, quad))
 		}
 		exact, err := (Calinescu{}).Select(g, 0)
@@ -212,7 +212,7 @@ func TestCalinescuBetweenOptimalAndSkyline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Covers(g, 0, cal) {
+		if !covers(g, 0, cal) {
 			t.Fatalf("seed %d: calinescu set %v misses %v", seed, cal, Uncovered(g, 0, cal))
 		}
 		sky, _ := (Skyline{}).Select(g, 0)

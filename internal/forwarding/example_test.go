@@ -46,6 +46,6 @@ func ExampleSkylineRepair_Select() {
 		panic(err)
 	}
 	set, _ := forwarding.SkylineRepair{}.Select(g, 0)
-	fmt.Println(set, forwarding.Covers(g, 0, set))
-	// Output: [1 2 3] true
+	fmt.Println(set, "covers", forwarding.CoverageRatio(g, 0, set))
+	// Output: [1 2 3] covers 1
 }

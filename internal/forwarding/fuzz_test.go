@@ -63,7 +63,7 @@ func FuzzSelectorInvariants(f *testing.F) {
 			sizes[sel.Name()] = len(set)
 			switch sel.(type) {
 			case Greedy, Optimal, SkylineRepair:
-				if !Covers(g, u, set) {
+				if !covers(g, u, set) {
 					t.Fatalf("%s: set %v misses %v", sel.Name(), set, Uncovered(g, u, set))
 				}
 			}

@@ -101,13 +101,6 @@ func buildCoverage(g *network.Graph, u int) coverage {
 	return c
 }
 
-// Covers reports whether the forwarding set (node IDs, all 1-hop neighbors
-// of u) covers every 2-hop neighbor of u, i.e. each 2-hop neighbor is
-// adjacent to some member.
-func Covers(g *network.Graph, u int, set []int) bool {
-	return len(Uncovered(g, u, set)) == 0
-}
-
 // Uncovered returns the 2-hop neighbors of u not adjacent to any member of
 // the forwarding set, sorted.
 func Uncovered(g *network.Graph, u int, set []int) []int {

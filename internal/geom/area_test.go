@@ -8,24 +8,24 @@ import (
 
 func TestBoundingBox(t *testing.T) {
 	disks := []Disk{NewDisk(0, 0, 1), NewDisk(3, 1, 2)}
-	minX, minY, maxX, maxY, ok := BoundingBox(disks)
+	minX, minY, maxX, maxY, ok := boundingBox(disks)
 	if !ok {
 		t.Fatal("bounding box of non-empty set must exist")
 	}
 	if minX != -1 || minY != -1 || maxX != 5 || maxY != 3 {
 		t.Errorf("bbox = (%v,%v)-(%v,%v)", minX, minY, maxX, maxY)
 	}
-	if _, _, _, _, ok := BoundingBox(nil); ok {
+	if _, _, _, _, ok := boundingBox(nil); ok {
 		t.Error("empty set has no bounding box")
 	}
 }
 
 func TestUnionContains(t *testing.T) {
 	disks := []Disk{NewDisk(0, 0, 1), NewDisk(3, 0, 1)}
-	if !UnionContains(disks, Pt(0.5, 0)) || !UnionContains(disks, Pt(3, 0.5)) {
+	if !unionContains(disks, Pt(0.5, 0)) || !unionContains(disks, Pt(3, 0.5)) {
 		t.Error("points inside either disk are in the union")
 	}
-	if UnionContains(disks, Pt(1.5, 0.8)) {
+	if unionContains(disks, Pt(1.5, 0.8)) {
 		t.Error("(1.5, 0.8) is in neither disk")
 	}
 }

@@ -19,16 +19,6 @@ func (d Disk) Contains(p Point) bool {
 	return d.C.Dist(p) <= d.R+Eps
 }
 
-// ContainsStrict reports whether p lies in the open disk by more than Eps.
-func (d Disk) ContainsStrict(p Point) bool {
-	return d.C.Dist(p) < d.R-Eps
-}
-
-// OnBoundary reports whether p lies on the circle ∂B(C, R) within Eps.
-func (d Disk) OnBoundary(p Point) bool {
-	return math.Abs(d.C.Dist(p)-d.R) <= Eps
-}
-
 // ContainsOrigin reports whether the disk contains the origin. Every disk
 // of a local disk set must contain the hub, which callers translate to the
 // origin before invoking the skyline machinery.
@@ -36,17 +26,11 @@ func (d Disk) ContainsOrigin() bool { return d.C.Norm() <= d.R+Eps }
 
 // ContainsDisk reports whether d fully contains e (within Eps):
 // ‖C_d − C_e‖ + R_e ≤ R_d.
+//
+// Test support: the skyline property tests build nested disks with it.
 func (d Disk) ContainsDisk(e Disk) bool {
 	return d.C.Dist(e.C)+e.R <= d.R+Eps
 }
-
-// Eq reports whether two disks coincide within Eps.
-func (d Disk) Eq(e Disk) bool {
-	return d.C.Eq(e.C) && math.Abs(d.R-e.R) <= Eps
-}
-
-// Area returns the disk area πR².
-func (d Disk) Area() float64 { return math.Pi * d.R * d.R }
 
 // Translate returns the disk shifted by −origin, i.e. expressed in a frame
 // where origin is (0, 0).
@@ -57,12 +41,6 @@ func (d Disk) Translate(origin Point) Disk {
 // String implements fmt.Stringer.
 func (d Disk) String() string {
 	return fmt.Sprintf("B(%s, %.6g)", d.C, d.R)
-}
-
-// PointAt returns the point of ∂B(C, R) at angle theta measured at the
-// disk's own center.
-func (d Disk) PointAt(theta float64) Point {
-	return Point{d.C.X + d.R*math.Cos(theta), d.C.Y + d.R*math.Sin(theta)}
 }
 
 // RayDist returns ρ(θ): the distance from the origin to the unique far
@@ -105,10 +83,4 @@ func (d Disk) RayDistDir(e Point) float64 {
 		return math.NaN()
 	}
 	return t
-}
-
-// RayDistFrom is RayDist measured from an arbitrary origin o instead of
-// (0, 0).
-func (d Disk) RayDistFrom(o Point, theta float64) float64 {
-	return d.Translate(o).RayDist(theta)
 }

@@ -9,6 +9,9 @@ import "math"
 // the other), 1 (tangency, internal or external), or 2. Coincident circles
 // intersect everywhere; they are reported as 0 points and ok == false so
 // callers can apply their own tie-breaking.
+//
+// Test support: the mldcs oracle tests call it; production code calls
+// IntersectCircles.
 func CircleIntersections(d, e Disk) (pts []Point, ok bool) {
 	var buf [2]Point
 	n, ok := IntersectCircles(d, e, &buf)
@@ -55,33 +58,4 @@ func IntersectCircles(d, e Disk, buf *[2]Point) (n int, ok bool) {
 	buf[0] = Point{foot.X - h*uy, foot.Y + h*ux}
 	buf[1] = Point{foot.X + h*uy, foot.Y - h*ux}
 	return 2, true
-}
-
-// DisksIntersect reports whether the two closed disks share at least one
-// point.
-func DisksIntersect(d, e Disk) bool {
-	return d.C.Dist(e.C) <= d.R+e.R+Eps
-}
-
-// SegmentIntersectsDisk reports whether the closed segment pq meets the
-// closed disk.
-func SegmentIntersectsDisk(p, q Point, d Disk) bool {
-	return DistPointSegment(d.C, p, q) <= d.R+Eps
-}
-
-// DistPointSegment returns the distance from point x to the closed segment
-// pq.
-func DistPointSegment(x, p, q Point) float64 {
-	v := q.Sub(p)
-	l2 := v.Norm2()
-	if l2 <= Eps*Eps {
-		return x.Dist(p)
-	}
-	t := x.Sub(p).Dot(v) / l2
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	return x.Dist(p.Add(v.Scale(t)))
 }

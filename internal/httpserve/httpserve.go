@@ -62,9 +62,6 @@ func Start(addr string, h http.Handler) (*Server, error) {
 // when Start was given ":0".
 func (s *Server) Addr() string { return s.addr }
 
-// URL returns the http base URL for the listen address.
-func (s *Server) URL() string { return "http://" + s.addr }
-
 // Shutdown gracefully stops the server: no new connections, in-flight
 // requests get up to timeout to finish, then the listener is torn down.
 // It blocks until Serve has returned and reports the first error from

@@ -19,7 +19,7 @@ func TestStartServeShutdown(t *testing.T) {
 	if !strings.Contains(s.Addr(), ":") || strings.HasSuffix(s.Addr(), ":0") {
 		t.Fatalf("Addr not resolved: %q", s.Addr())
 	}
-	resp, err := http.Get(s.URL() + "/")
+	resp, err := http.Get("http://" + s.Addr() + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestStartServeShutdown(t *testing.T) {
 	if err := s.Shutdown(time.Second); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
-	if _, err := http.Get(s.URL() + "/"); err == nil {
+	if _, err := http.Get("http://" + s.Addr() + "/"); err == nil {
 		t.Fatal("server still reachable after Shutdown")
 	}
 }
@@ -62,7 +62,7 @@ func TestShutdownWaitsForInflight(t *testing.T) {
 	var body string
 	go func() {
 		defer wg.Done()
-		resp, err := http.Get(s.URL() + "/")
+		resp, err := http.Get("http://" + s.Addr() + "/")
 		if err != nil {
 			t.Errorf("in-flight request failed: %v", err)
 			return

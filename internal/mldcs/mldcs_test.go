@@ -76,10 +76,10 @@ func TestAllTranslatesToHubFrame(t *testing.T) {
 	if len(all) != 2 {
 		t.Fatalf("All() returned %d disks", len(all))
 	}
-	if !all[0].C.Eq(geom.Pt(0, 0)) || all[0].R != 2 {
+	if all[0].C != geom.Pt(0, 0) || all[0].R != 2 {
 		t.Errorf("hub disk = %v, want centered at origin", all[0])
 	}
-	if !all[1].C.Eq(geom.Pt(1, 0)) {
+	if all[1].C != geom.Pt(1, 0) {
 		t.Errorf("neighbor disk = %v, want center (1, 0)", all[1])
 	}
 }

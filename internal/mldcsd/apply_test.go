@@ -172,8 +172,8 @@ func TestNodesCountsLiveNodesNotSlots(t *testing.T) {
 	decodeInto(t, postBatch(t, ts.URL, `{"deltas":[{"op":"join","node":1,"x":0,"y":0,"r":1},{"op":"join","node":2,"x":0.5,"y":0,"r":1},{"op":"join","node":3,"x":1,"y":0,"r":1}]}`), &ack)
 	decodeInto(t, postBatch(t, ts.URL, `{"deltas":[{"op":"leave","node":2}]}`), &ack)
 	sn := waitApplied(t, s, ack.Seq)
-	if sn.Res.Len() != 3 {
-		t.Fatalf("slot range %d, want 3 (the freed slot stays free)", sn.Res.Len())
+	if slots := len(sn.Res.Result().Forwarding); slots != 3 {
+		t.Fatalf("slot range %d, want 3 (the freed slot stays free)", slots)
 	}
 	var ep EpochResponse
 	resp, err := http.Get(ts.URL + "/v1/epoch")

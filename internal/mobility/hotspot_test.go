@@ -51,6 +51,17 @@ func TestZipfValidation(t *testing.T) {
 	}
 }
 
+// cdf returns P(rank ≤ k), the analytic cumulative mass.
+func (z *Zipf) cdf(k int) float64 {
+	if k < 0 {
+		return 0
+	}
+	if k >= len(z.cum) {
+		return 1
+	}
+	return z.cum[k]
+}
+
 // TestZipfTailMass draws a large sample and compares the empirical CDF
 // against the analytic zipf CDF at every rank: the skew must be real (rank
 // 0 carries the most mass) and match theory within Monte-Carlo noise.
@@ -69,18 +80,18 @@ func TestZipfTailMass(t *testing.T) {
 	for k := 0; k < n; k++ {
 		cum += counts[k]
 		got := float64(cum) / draws
-		want := z.CDF(k)
+		want := z.cdf(k)
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("rank %d: empirical CDF %.4f, analytic %.4f", k, got, want)
 		}
 	}
 	// Sanity on the analytic side: with s=1.2 over 16 ranks the top rank
 	// holds well over the uniform share and the masses decrease.
-	if z.CDF(0) < 2.0/n {
-		t.Errorf("rank 0 mass %.4f not skewed above uniform %.4f", z.CDF(0), 1.0/n)
+	if z.cdf(0) < 2.0/n {
+		t.Errorf("rank 0 mass %.4f not skewed above uniform %.4f", z.cdf(0), 1.0/n)
 	}
 	for k := 1; k < n; k++ {
-		if z.CDF(k)-z.CDF(k-1) > z.CDF(k-1)-z.CDF(k-2)+1e-15 && k >= 2 {
+		if z.cdf(k)-z.cdf(k-1) > z.cdf(k-1)-z.cdf(k-2)+1e-15 && k >= 2 {
 			t.Errorf("mass not non-increasing at rank %d", k)
 		}
 	}
@@ -93,8 +104,8 @@ func TestZipfUniformAtZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 10; k++ {
-		if want := float64(k+1) / 10; math.Abs(z.CDF(k)-want) > 1e-12 {
-			t.Errorf("CDF(%d) = %.6f, want %.6f", k, z.CDF(k), want)
+		if want := float64(k+1) / 10; math.Abs(z.cdf(k)-want) > 1e-12 {
+			t.Errorf("CDF(%d) = %.6f, want %.6f", k, z.cdf(k), want)
 		}
 	}
 }
@@ -227,7 +238,7 @@ func TestHotspotMoverSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := float64(hits) / draws
-	if want := z.CDF(0); math.Abs(got-want) > 0.02 {
+	if want := z.cdf(0); math.Abs(got-want) > 0.02 {
 		t.Errorf("top-cluster mover share %.4f, want ≈ %.4f", got, want)
 	}
 }

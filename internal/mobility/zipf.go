@@ -9,7 +9,7 @@ import (
 
 // Zipf is a seeded inverse-CDF sampler over ranks 0..n-1 with weights
 // proportional to 1/(k+1)^s. Rank 0 is the heaviest; s = 0 degenerates to
-// the uniform distribution. Unlike math/rand's rand.Zipf it exposes the
+// the uniform distribution. Unlike math/rand's rand.Zipf it keeps the
 // analytic CDF (the tests compare tail mass against it) and draws exactly
 // one rng.Float64 per sample, which keeps workload generation reproducible
 // draw-for-draw across refactors.
@@ -36,20 +36,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	}
 	cum[n-1] = 1 // exact upper bound regardless of rounding
 	return &Zipf{cum: cum}, nil
-}
-
-// Len returns the number of ranks.
-func (z *Zipf) Len() int { return len(z.cum) }
-
-// CDF returns P(rank ≤ k), the analytic cumulative mass.
-func (z *Zipf) CDF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= len(z.cum) {
-		return 1
-	}
-	return z.cum[k]
 }
 
 // Rank draws one rank, consuming exactly one rng.Float64.

@@ -45,9 +45,9 @@ func TestMoveNodeMatchesRebuild(t *testing.T) {
 					t.Fatalf("trial %d %v: node %d out-neighbors diverged:\n inc %v\n new %v",
 						trial, model, u, g.Neighbors(u), fresh.Neighbors(u))
 				}
-				if !equalIntSlices(g.InNeighbors(u), fresh.InNeighbors(u)) {
+				if !equalIntSlices(g.inNeighbors(u), fresh.inNeighbors(u)) {
 					t.Fatalf("trial %d %v: node %d in-neighbors diverged:\n inc %v\n new %v",
-						trial, model, u, g.InNeighbors(u), fresh.InNeighbors(u))
+						trial, model, u, g.inNeighbors(u), fresh.inNeighbors(u))
 				}
 				if g.Node(u).Pos != fresh.Node(u).Pos {
 					t.Fatalf("trial %d: node %d position diverged", trial, u)

@@ -28,11 +28,11 @@ func ExampleBuild() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("who reaches 2:", gu.InNeighbors(2))
+	fmt.Println("0 reaches:", gu.Neighbors(0))
 	// Output:
 	// neighbors of 0: [1]
 	// neighbors of 2: [1]
-	// who reaches 2: [0 1]
+	// 0 reaches: [1 2]
 }
 
 // MoveNode patches the adjacency incrementally when a node relocates.

@@ -128,9 +128,6 @@ func (g *Graph) Nodes() []Node { return g.nodes }
 // Callers must not modify the returned slice.
 func (g *Graph) Neighbors(u int) []int { return g.out[u] }
 
-// InNeighbors returns the nodes whose transmissions reach u.
-func (g *Graph) InNeighbors(u int) []int { return g.in[u] }
-
 // Degree returns the out-degree of u.
 func (g *Graph) Degree(u int) int { return len(g.out[u]) }
 
@@ -185,18 +182,6 @@ func (g *Graph) HopDistances(src int) []int {
 		}
 	}
 	return dist
-}
-
-// ReachableCount returns the number of nodes reachable from src (including
-// src itself).
-func (g *Graph) ReachableCount(src int) int {
-	c := 0
-	for _, d := range g.HopDistances(src) {
-		if d >= 0 {
-			c++
-		}
-	}
-	return c
 }
 
 // LocalSet returns the MLDCS problem input for node u: the hub's disk and

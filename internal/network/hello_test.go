@@ -9,10 +9,11 @@ import "sort"
 // simulates that discovery process over the reception (unidirectional)
 // edges so the information each node ends up with is exactly what the
 // physical process would deliver — including the asymmetries that motivate
-// the paper's Figure 5.6 discussion.
+// the paper's Figure 5.6 discussion. The tests check Build's bidirectional
+// adjacency and TwoHop against it.
 
-// NeighborTable is the local view a node builds from HELLO beacons.
-type NeighborTable struct {
+// neighborTable is the local view a node builds from HELLO beacons.
+type neighborTable struct {
 	// OneHop lists the bidirectional 1-hop neighbors: nodes the owner
 	// heard and that also heard the owner (learned from the second-round
 	// beacon, which tells the owner whether it appears in the sender's
@@ -26,17 +27,17 @@ type NeighborTable struct {
 	Heard []int
 }
 
-// DiscoverNeighborhoods simulates the two HELLO rounds for every node and
+// discoverNeighborhoods simulates the two HELLO rounds for every node and
 // returns the per-node tables. The graph must have been built with the
 // Unidirectional model to expose asymmetric links faithfully; with the
 // Bidirectional model the result reduces to the graph's own adjacency.
-func DiscoverNeighborhoods(g *Graph) []NeighborTable {
+func discoverNeighborhoods(g *Graph) []neighborTable {
 	n := g.Len()
-	tables := make([]NeighborTable, n)
+	tables := make([]neighborTable, n)
 
 	// Round 1: every node beacons; receivers record who they heard.
 	for u := 0; u < n; u++ {
-		heard := g.InNeighbors(u)
+		heard := g.inNeighbors(u)
 		tables[u].Heard = append([]int(nil), heard...)
 	}
 

@@ -60,7 +60,7 @@ func TestQuickInOutConsistency(t *testing.T) {
 			return false
 		}
 		for u := 0; u < gb.Len(); u++ {
-			if !equalIntSlices(gb.Neighbors(u), gb.InNeighbors(u)) {
+			if !equalIntSlices(gb.Neighbors(u), gb.inNeighbors(u)) {
 				return false
 			}
 		}
@@ -71,7 +71,7 @@ func TestQuickInOutConsistency(t *testing.T) {
 		for u := 0; u < gu.Len(); u++ {
 			for _, v := range gu.Neighbors(u) {
 				found := false
-				for _, w := range gu.InNeighbors(v) {
+				for _, w := range gu.inNeighbors(v) {
 					if w == u {
 						found = true
 						break

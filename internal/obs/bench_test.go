@@ -50,8 +50,8 @@ func BenchmarkTimerSharded(b *testing.B) {
 			tm.Start().Stop()
 		}
 	})
-	if tm.Count() != int64(b.N) {
-		b.Fatalf("count = %d, want %d", tm.Count(), b.N)
+	if tm.count() != int64(b.N) {
+		b.Fatalf("count = %d, want %d", tm.count(), b.N)
 	}
 }
 
@@ -107,7 +107,7 @@ func BenchmarkHistogramQuantile(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = h.Quantile(0.99)
+		_ = h.quantile(0.99)
 	}
 }
 

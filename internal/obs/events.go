@@ -74,23 +74,3 @@ func (s *EventSink) Flush() error {
 	s.err = s.w.Flush()
 	return s.err
 }
-
-// Err returns the sink's latched error, if any.
-func (s *EventSink) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Count returns how many events have been emitted so far.
-func (s *EventSink) Count() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}

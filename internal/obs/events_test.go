@@ -31,9 +31,6 @@ func TestEventSinkOrdering(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Count(); got != workers*per {
-		t.Fatalf("sink count = %d, want %d", got, workers*per)
-	}
 	sc := bufio.NewScanner(&buf)
 	var seen uint64
 	for sc.Scan() {
@@ -62,9 +59,6 @@ func TestEventSinkNilNoop(t *testing.T) {
 	s.Emit("x", nil) // must not panic
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
-	}
-	if s.Err() != nil || s.Count() != 0 {
-		t.Error("nil sink must read as empty")
 	}
 }
 
@@ -100,7 +94,7 @@ func TestEventSinkErrorLatches(t *testing.T) {
 	if err := s.Flush(); err == nil {
 		t.Fatal("expected latched write error")
 	}
-	if s.Err() == nil {
-		t.Fatal("Err must report the latched error")
+	if err := s.Flush(); err == nil {
+		t.Fatal("a later Flush must report the latched error")
 	}
 }

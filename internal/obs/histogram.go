@@ -47,8 +47,8 @@ type histShard struct {
 
 // Histogram is a sharded log-bucketed histogram with quantile reads. The
 // hot path (Observe) touches only the calling goroutine's shard; reads
-// (Count, Sum, Quantile, snapshots) merge all shards. Obtain histograms
-// from a Registry; a nil Histogram is a no-op.
+// (Count, Sum, snapshots with their quantiles) merge all shards. Obtain
+// histograms from a Registry; a nil Histogram is a no-op.
 type Histogram struct {
 	shards []histShard
 	// minBits/maxBits track the exact extremes (float bits, CAS-updated
@@ -158,15 +158,6 @@ func (h *Histogram) Sum() float64 {
 	return total
 }
 
-// Mean returns Sum/Count (0 when empty or nil).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Min returns the smallest observed value, exactly (0 when empty or nil).
 func (h *Histogram) Min() float64 {
 	if h == nil || h.Count() == 0 {
@@ -196,21 +187,6 @@ func (h *Histogram) mergeBuckets(dst *[histBuckets]int64) int64 {
 		}
 	}
 	return total
-}
-
-// Quantile returns an estimate of the q-quantile (q in [0, 1]; out-of-
-// range q is clamped) of everything observed so far: the midpoint of the
-// log-scale bucket holding the q-th observation, clamped to the exact
-// [Min, Max] envelope — so a single-valued histogram reports exact
-// quantiles, Quantile(0) ≥ Min, and Quantile(1) ≤ Max. Returns 0 when the
-// histogram is empty or nil, and NaN for NaN q.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var merged [histBuckets]int64
-	total := h.mergeBuckets(&merged)
-	return quantileFromBuckets(&merged, total, q, h.Min(), h.Max())
 }
 
 func quantileFromBuckets(buckets *[histBuckets]int64, total int64, q, min, max float64) float64 {
@@ -307,21 +283,4 @@ func (t *Timer) Observe(d time.Duration) {
 		return
 	}
 	t.h.Observe(d.Seconds())
-}
-
-// Count returns the number of recorded durations.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.h.Count()
-}
-
-// Quantile returns the q-quantile of the recorded durations in seconds
-// (see Histogram.Quantile).
-func (t *Timer) Quantile(q float64) float64 {
-	if t == nil {
-		return 0
-	}
-	return t.h.Quantile(q)
 }

@@ -103,20 +103,6 @@ func (g *Gauge) SetMax(v float64) {
 	}
 }
 
-// Add adds delta to the gauge.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 for a nil receiver).
 func (g *Gauge) Value() float64 {
 	if g == nil {

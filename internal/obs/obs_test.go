@@ -9,6 +9,48 @@ import (
 	"time"
 )
 
+// quantile returns an estimate of the q-quantile (q in [0, 1]; out-of-
+// range q is clamped) of everything observed so far, as a snapshot
+// computes it: the midpoint of the log-scale bucket holding the q-th
+// observation, clamped to the exact [Min, Max] envelope — so a
+// single-valued histogram reports exact quantiles, quantile(0) ≥ Min, and
+// quantile(1) ≤ Max. Returns 0 when the histogram is empty or nil, and NaN
+// for NaN q.
+func (h *Histogram) quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	var merged [histBuckets]int64
+	total := h.mergeBuckets(&merged)
+	return quantileFromBuckets(&merged, total, q, h.Min(), h.Max())
+}
+
+// mean returns Sum/Count (0 when empty or nil).
+func (h *Histogram) mean() float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	return h.Sum() / float64(n)
+}
+
+// count returns the number of recorded durations (0 on a nil timer).
+func (t *Timer) count() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.h.Count()
+}
+
+// quantile returns the q-quantile of the recorded durations in seconds
+// (0 on a nil timer).
+func (t *Timer) quantile(q float64) float64 {
+	if t == nil {
+		return 0
+	}
+	return t.h.quantile(q)
+}
+
 // TestCounterConcurrent hammers one counter from many goroutines; run
 // under -race this also proves the implementation is data-race free.
 func TestCounterConcurrent(t *testing.T) {
@@ -51,26 +93,6 @@ func TestGaugeSetMaxConcurrent(t *testing.T) {
 	wg.Wait()
 	if got, want := g.Value(), float64(workers*per-1); got != want {
 		t.Fatalf("gauge max = %g, want %g", got, want)
-	}
-}
-
-func TestGaugeAddConcurrent(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("sum")
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				g.Add(0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	if got, want := g.Value(), float64(workers*per)*0.5; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("gauge sum = %g, want %g", got, want)
 	}
 }
 
@@ -118,15 +140,15 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		{0.99, 0.99},
 		{0.999, 0.999},
 	} {
-		got := h.Quantile(tc.q)
+		got := h.quantile(tc.q)
 		if rel := math.Abs(got-tc.want) / tc.want; rel > 0.07 {
 			t.Errorf("Quantile(%g) = %g, want %g ±7%% (rel err %.3f)", tc.q, got, tc.want, rel)
 		}
 	}
-	if q0 := h.Quantile(0); q0 < h.Min() {
+	if q0 := h.quantile(0); q0 < h.Min() {
 		t.Errorf("Quantile(0) = %g below Min %g", q0, h.Min())
 	}
-	if q1 := h.Quantile(1); q1 > h.Max() {
+	if q1 := h.quantile(1); q1 > h.Max() {
 		t.Errorf("Quantile(1) = %g above Max %g", q1, h.Max())
 	}
 }
@@ -137,10 +159,10 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 func TestHistogramEdgeCases(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		h := newHistogram()
-		if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+		if h.Count() != 0 || h.Sum() != 0 || h.mean() != 0 || h.Min() != 0 || h.Max() != 0 {
 			t.Error("empty histogram must read all-zero")
 		}
-		if got := h.Quantile(0.99); got != 0 {
+		if got := h.quantile(0.99); got != 0 {
 			t.Errorf("Quantile on empty = %g, want 0", got)
 		}
 		s := h.snapshot()
@@ -156,10 +178,10 @@ func TestHistogramEdgeCases(t *testing.T) {
 		}
 		h.Observe(2)
 		h.Observe(math.NaN())
-		if h.Count() != 1 || h.Mean() != 2 {
-			t.Errorf("count/mean after NaN = %d/%g, want 1/2", h.Count(), h.Mean())
+		if h.Count() != 1 || h.mean() != 2 {
+			t.Errorf("count/mean after NaN = %d/%g, want 1/2", h.Count(), h.mean())
 		}
-		if got := h.Quantile(math.NaN()); !math.IsNaN(got) {
+		if got := h.quantile(math.NaN()); !math.IsNaN(got) {
 			t.Errorf("Quantile(NaN) = %g, want NaN", got)
 		}
 	})
@@ -173,7 +195,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 		if s := h.Sum(); math.IsInf(s, 0) || math.IsNaN(s) {
 			t.Errorf("sum = %g, want finite (clamped)", s)
 		}
-		if m := h.Mean(); math.IsInf(m, 0) || math.IsNaN(m) {
+		if m := h.mean(); math.IsInf(m, 0) || math.IsNaN(m) {
 			t.Errorf("mean = %g, want finite", m)
 		}
 		// +Inf saturates into the overflow bucket, -Inf into bucket 0.
@@ -193,7 +215,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 		}
 		// Non-positive values share bucket 0, whose representative (0) is
 		// clamped into the exact [Min, Max] envelope.
-		if got := h.Quantile(0.5); got < -3 || got > 0 {
+		if got := h.quantile(0.5); got < -3 || got > 0 {
 			t.Errorf("Quantile(0.5) = %g, want within [-3, 0]", got)
 		}
 	})
@@ -205,7 +227,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 			h.Observe(3.7)
 		}
 		for _, q := range []float64{0, 0.5, 0.99, 1} {
-			if got := h.Quantile(q); got != 3.7 {
+			if got := h.quantile(q); got != 3.7 {
 				t.Errorf("Quantile(%g) = %g, want exactly 3.7", q, got)
 			}
 		}
@@ -214,7 +236,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 		h := newHistogram()
 		tiny := math.Ldexp(1, histMinExp-5) // below 2^histMinExp
 		h.Observe(tiny)
-		if got := h.Quantile(0.5); got != tiny {
+		if got := h.quantile(0.5); got != tiny {
 			t.Errorf("Quantile(0.5) = %g, want exact %g via Min clamp", got, tiny)
 		}
 	})
@@ -222,7 +244,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 		h := newHistogram()
 		huge := math.Ldexp(1, histMaxExp+3)
 		h.Observe(huge)
-		if got := h.Quantile(0.5); got != huge {
+		if got := h.quantile(0.5); got != huge {
 			t.Errorf("Quantile(0.5) = %g, want exact %g via Max clamp", got, huge)
 		}
 	})
@@ -232,17 +254,17 @@ func TestHistogramEdgeCases(t *testing.T) {
 		h.Observe(2)
 		// q clamps to 0 → rank 1 → bucket holding the value 1, whose
 		// midpoint carries the bucketing's relative error.
-		if got := h.Quantile(-0.5); got < 1 || got > 1.125 {
+		if got := h.quantile(-0.5); got < 1 || got > 1.125 {
 			t.Errorf("Quantile(-0.5) = %g, want within bucket of 1", got)
 		}
-		if got := h.Quantile(2); got != 2 {
+		if got := h.quantile(2); got != 2 {
 			t.Errorf("Quantile(2) = %g, want 2 (clamped to q=1)", got)
 		}
 	})
 	t.Run("nil", func(t *testing.T) {
 		var h *Histogram
 		h.Observe(1)
-		if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+		if h.Count() != 0 || h.Sum() != 0 || h.mean() != 0 || h.quantile(0.5) != 0 {
 			t.Error("nil histogram must read as zero")
 		}
 	})
@@ -277,13 +299,13 @@ func TestTimer(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	sw.Stop()
 	tm.Observe(2 * time.Millisecond)
-	if got := tm.Count(); got != 2 {
+	if got := tm.count(); got != 2 {
 		t.Fatalf("timer count = %d, want 2", got)
 	}
 	if sum := tm.h.Sum(); sum < 0.003 || sum > 1 {
 		t.Errorf("timer sum = %g s, want ≥ 3ms and sane", sum)
 	}
-	if q := tm.Quantile(0.5); q <= 0 {
+	if q := tm.quantile(0.5); q <= 0 {
 		t.Errorf("timer p50 = %g, want > 0", q)
 	}
 }
@@ -304,11 +326,10 @@ func TestNilFastPath(t *testing.T) {
 	c.Add(5)
 	g.Set(1)
 	g.SetMax(2)
-	g.Add(3)
 	h.Observe(4)
 	tm.Observe(time.Second)
 	tm.Start().Stop()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || tm.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.mean() != 0 || tm.count() != 0 {
 		t.Error("nil handles must read as zero")
 	}
 	snap := r.Snapshot()

@@ -85,6 +85,9 @@ func (k *SpanKind) Begin() Span {
 
 // Total returns how many spans of this kind were begun, sampled or not
 // (0 on a nil kind).
+//
+// Test support: the engine's allocation tests drive a kind past its
+// sampling limit with it.
 func (k *SpanKind) Total() int64 {
 	if k == nil {
 		return 0
@@ -93,6 +96,8 @@ func (k *SpanKind) Total() int64 {
 }
 
 // SampledCount returns how many spans of this kind were actually emitted.
+//
+// Test support: the engine's allocation tests check the limit held.
 func (k *SpanKind) SampledCount() uint64 {
 	if k == nil {
 		return 0

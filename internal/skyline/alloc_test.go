@@ -143,10 +143,10 @@ func TestMergeAmortizedAllocs(t *testing.T) {
 	sa := computeRange(disks, 0, 32)
 	sb := computeRange(disks, 32, 64)
 	for i := 0; i < 3; i++ {
-		Merge(disks, sa, sb)
+		merge(disks, sa, sb)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		Merge(disks, sa, sb)
+		merge(disks, sa, sb)
 	})
 	if allocs > 2 {
 		t.Errorf("Merge allocated %.1f objects/run, want O(1) (≤ 2)", allocs)

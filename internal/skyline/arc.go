@@ -91,9 +91,6 @@ func (s Skyline) At(theta float64) int {
 	return i
 }
 
-// DiskAt returns the disk index active on the skyline at angle theta.
-func (s Skyline) DiskAt(theta float64) int { return s[s.At(theta)].Disk }
-
 // Set returns the skyline set: the sorted indices of all disks that
 // contribute at least one arc. By Theorem 3 this is the minimum local disk
 // cover set of the input.
@@ -118,10 +115,10 @@ func (s Skyline) ArcCount() int {
 	return n
 }
 
-// Combine joins adjacent arcs contributed by the same disk (Step 3 of
+// combine joins adjacent arcs contributed by the same disk (Step 3 of
 // the paper's Merge) and drops arcs with span below geom.AngleEps, which
 // arise as alignment slivers. The receiver is not modified.
-func (s Skyline) Combine() Skyline {
+func (s Skyline) combine() Skyline {
 	out := make(Skyline, 0, len(s))
 	for _, a := range s {
 		if geom.AngleSliver(a.Start, a.End) {
@@ -146,13 +143,6 @@ func (s Skyline) Combine() Skyline {
 		out[0].Start = 0
 		out[len(out)-1].End = geom.TwoPi
 	}
-	return out
-}
-
-// Clone returns a copy of the skyline.
-func (s Skyline) Clone() Skyline {
-	out := make(Skyline, len(s))
-	copy(out, s)
 	return out
 }
 

@@ -65,18 +65,18 @@ func TestAtAndDiskAt(t *testing.T) {
 		{Start: 0, End: math.Pi, Disk: 3},
 		{Start: math.Pi, End: geom.TwoPi, Disk: 7},
 	}
-	if got := s.DiskAt(1); got != 3 {
-		t.Errorf("DiskAt(1) = %d, want 3", got)
+	if got := s.diskAt(1); got != 3 {
+		t.Errorf("diskAt(1) = %d, want 3", got)
 	}
-	if got := s.DiskAt(4); got != 7 {
-		t.Errorf("DiskAt(4) = %d, want 7", got)
+	if got := s.diskAt(4); got != 7 {
+		t.Errorf("diskAt(4) = %d, want 7", got)
 	}
 	// Angles are normalized first.
-	if got := s.DiskAt(-1); got != 7 {
-		t.Errorf("DiskAt(-1) = %d, want 7 (normalizes to 2π−1)", got)
+	if got := s.diskAt(-1); got != 7 {
+		t.Errorf("diskAt(-1) = %d, want 7 (normalizes to 2π−1)", got)
 	}
-	if got := s.DiskAt(geom.TwoPi + 1); got != 3 {
-		t.Errorf("DiskAt(2π+1) = %d, want 3", got)
+	if got := s.diskAt(geom.TwoPi + 1); got != 3 {
+		t.Errorf("diskAt(2π+1) = %d, want 3", got)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestCombineMergesNeighbors(t *testing.T) {
 		{Start: 2, End: 3, Disk: 1},
 		{Start: 3, End: geom.TwoPi, Disk: 1},
 	}
-	got := s.Combine()
+	got := s.combine()
 	if len(got) != 2 || got[0].Disk != 0 || got[1].Disk != 1 {
 		t.Fatalf("Combine = %v", got)
 	}
@@ -131,7 +131,7 @@ func TestCombineDropsSlivers(t *testing.T) {
 		{Start: 2, End: 2 + geom.AngleEps/2, Disk: 1},
 		{Start: 2 + geom.AngleEps/2, End: geom.TwoPi, Disk: 0},
 	}
-	got := s.Combine()
+	got := s.combine()
 	if len(got) != 1 || got[0].Disk != 0 {
 		t.Fatalf("Combine should absorb the sliver: %v", got)
 	}
@@ -145,18 +145,9 @@ func TestCombineDoesNotModifyReceiver(t *testing.T) {
 		{Start: 0, End: 1, Disk: 0},
 		{Start: 1, End: geom.TwoPi, Disk: 0},
 	}
-	_ = s.Combine()
+	_ = s.combine()
 	if s[0].End != 1 {
 		t.Error("Combine must not modify its receiver")
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := Skyline{{Start: 0, End: geom.TwoPi, Disk: 0}}
-	c := s.Clone()
-	c[0].Disk = 9
-	if s[0].Disk != 0 {
-		t.Error("Clone must be independent of the original")
 	}
 }
 

@@ -29,8 +29,9 @@ func Compute(disks []geom.Disk) (Skyline, error) {
 	return out, nil
 }
 
-// Merge combines two skylines over the same disk slice into the skyline of
-// the union of their disk sets. It follows the paper's three steps:
+// mergeInto combines two skylines over the same disk slice into the
+// skyline of the union of their disk sets, written to dst[:0], and
+// returns it. It follows the paper's three steps:
 //
 //  1. Align the two arc lists on the union of their breakpoint angles, so
 //     that within each elementary span exactly one disk is active per side.
@@ -44,19 +45,8 @@ func Compute(disks []geom.Disk) (Skyline, error) {
 // arc lists (Lemma 8's precondition for the linear Merge behind
 // Theorem 9); no sorting happens anywhere on this path.
 //
-// Both inputs must be valid skylines (contiguous over [0, 2π)).
-func Merge(disks []geom.Disk, s1, s2 Skyline) Skyline {
-	sc := getScratch()
-	out := mergeInto(sc.out[:0], sc, disks, s1, s2, skyInstr.Load(), nil)
-	sc.out = out
-	owned := make(Skyline, len(out))
-	copy(owned, out)
-	putScratch(sc)
-	return owned
-}
-
-// mergeInto merges s1 and s2 into dst[:0] and returns it. dst must not
-// alias s1, s2, or sc's internal buffers; sc supplies the breakpoint
+// Both inputs must be valid skylines (contiguous over [0, 2π)). dst must
+// not alias s1, s2, or sc's internal buffers; sc supplies the breakpoint
 // scratch. A non-nil tie receives the kinetic-repair tie report (see
 // resolveSpan); the full compute path passes nil.
 //
@@ -135,10 +125,10 @@ func mergeInto(dst Skyline, sc *Scratch, disks []geom.Disk, s1, s2 Skyline, ins 
 	return combineInPlace(out)
 }
 
-// combineInPlace is Skyline.Combine (Step 3 of the paper's Merge)
+// combineInPlace is Skyline.combine (Step 3 of the paper's Merge)
 // performed in place: the write cursor never passes the read cursor, so
 // the buffer is rewritten without a copy. The returned slice is a prefix
-// of s with identical values to s.Combine().
+// of s with identical values to s.combine().
 func combineInPlace(s Skyline) Skyline {
 	w := 0
 	for _, a := range s {

@@ -46,10 +46,10 @@ func checkLocal(disks []geom.Disk) error {
 	return nil
 }
 
-// Rho evaluates the skyline envelope at angle theta: the maximum ray
+// rho evaluates the skyline envelope at angle theta: the maximum ray
 // distance over all disks, together with the index of the winning disk
 // under the canonical tie-break. The disks must form a local disk set.
-func Rho(disks []geom.Disk, theta float64) (float64, int) {
+func rho(disks []geom.Disk, theta float64) (float64, int) {
 	e := geom.Unit(theta)
 	best := math.Inf(-1)
 	arg := -1

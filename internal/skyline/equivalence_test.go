@@ -205,8 +205,8 @@ func TestMergeSymmetry(t *testing.T) {
 		half := n / 2
 		sa := computeRange(disks, 0, half)
 		sb := computeRange(disks, half, n)
-		ab := Merge(disks, sa, sb)
-		ba := Merge(disks, sb, sa)
+		ab := merge(disks, sa, sb)
+		ba := merge(disks, sb, sa)
 		sameEnvelope(t, disks, ab, ba, "merge-symmetry")
 		sameSet(t, ab.Set(), ba.Set(), "merge-symmetry")
 	}
@@ -220,7 +220,7 @@ func TestMergeIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Merge(disks, s, s)
+	m := merge(disks, s, s)
 	sameEnvelope(t, disks, s, m, "merge-idempotent")
 	sameSet(t, s.Set(), m.Set(), "merge-idempotent")
 }

@@ -53,16 +53,3 @@ func ExampleSkyline_Area() {
 	fmt.Printf("%.6f\n", sl.Area(disks))
 	// Output: 12.566371
 }
-
-// Merging two skylines yields the skyline of the combined disk set.
-func ExampleMerge() {
-	disks := []geom.Disk{
-		geom.NewDisk(0.5, 0, 1),
-		geom.NewDisk(-0.5, 0, 1),
-	}
-	left, _ := skyline.Compute(disks[:1])
-	right := skyline.Skyline{{Start: 0, End: geom.TwoPi, Disk: 1}}
-	merged := skyline.Merge(disks, left, right)
-	fmt.Println(merged.Set())
-	// Output: [0 1]
-}

@@ -70,7 +70,7 @@ func FuzzSkylineInvariants(f *testing.F) {
 			}
 			mid := (a.Start + a.End) / 2
 			got := disks[a.Disk].RayDist(mid)
-			want, _ := Rho(disks, mid)
+			want, _ := rho(disks, mid)
 			if math.Abs(got-want) > 1e-6*(1+want) {
 				t.Fatalf("envelope mismatch at θ=%v: %v vs max %v", mid, got, want)
 			}
@@ -79,7 +79,7 @@ func FuzzSkylineInvariants(f *testing.F) {
 		area := sl.Area(disks)
 		var maxA, sumA float64
 		for _, d := range disks {
-			a := d.Area()
+			a := math.Pi * d.R * d.R
 			sumA += a
 			if a > maxA {
 				maxA = a
@@ -118,8 +118,8 @@ func FuzzMergeAgainstNaive(f *testing.F) {
 			probes = append(probes, (arc.Start+arc.End)/2)
 		}
 		for _, theta := range probes {
-			va := disks[a.DiskAt(theta)].RayDist(theta)
-			vb := disks[b.DiskAt(theta)].RayDist(theta)
+			va := disks[a.diskAt(theta)].RayDist(theta)
+			vb := disks[b.diskAt(theta)].RayDist(theta)
 			if math.Abs(va-vb) > 1e-6*(1+va) {
 				t.Fatalf("dnc and naive disagree at θ=%v: %v vs %v", theta, va, vb)
 			}

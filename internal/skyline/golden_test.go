@@ -87,8 +87,8 @@ func TestGoldenThreeSymmetricDisks(t *testing.T) {
 		}
 	}
 	for theta, wantDisk := range map[float64]int{0.1: 0, 2.0: 1, 4.0: 2, 6.0: 0} {
-		if got := sl.DiskAt(theta); got != wantDisk {
-			t.Errorf("DiskAt(%g) = %d, want %d", theta, got, wantDisk)
+		if got := sl.diskAt(theta); got != wantDisk {
+			t.Errorf("diskAt(%g) = %d, want %d", theta, got, wantDisk)
 		}
 	}
 }

@@ -50,9 +50,12 @@ func section41Disks(k int) []geom.Disk {
 	return disks
 }
 
+// diskAt returns the disk index active on the skyline at angle theta.
+func (s Skyline) diskAt(theta float64) int { return s[s.At(theta)].Disk }
+
 // envelopeValue evaluates the skyline's radial distance at theta.
 func envelopeValue(disks []geom.Disk, s Skyline, theta float64) float64 {
-	return disks[s.DiskAt(theta)].RayDist(theta)
+	return disks[s.diskAt(theta)].RayDist(theta)
 }
 
 // checkEnvelope verifies that the skyline matches the true upper envelope
@@ -71,11 +74,11 @@ func checkEnvelope(t *testing.T, disks []geom.Disk, s Skyline, label string) {
 		probes = append(probes, (a.Start+a.End)/2)
 	}
 	for _, theta := range probes {
-		want, _ := Rho(disks, theta)
+		want, _ := rho(disks, theta)
 		got := envelopeValue(disks, s, theta)
 		if math.Abs(got-want) > 1e-6*(1+want) {
 			t.Fatalf("%s: envelope mismatch at θ=%.9f: skyline gives %.12f (disk %d), max is %.12f",
-				label, theta, got, s.DiskAt(theta), want)
+				label, theta, got, s.diskAt(theta), want)
 		}
 	}
 }

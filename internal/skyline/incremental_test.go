@@ -74,7 +74,7 @@ func incrementalArcGrowth(disks []geom.Disk, order []int) ([]int, error) {
 // insertDisk is one step of the incremental construction: the skyline of
 // sl's disks plus disks[i], by Merge against the one-arc skyline of i.
 func insertDisk(disks []geom.Disk, sl Skyline, i int) Skyline {
-	return Merge(disks, sl, single(i))
+	return merge(disks, sl, single(i))
 }
 
 func checkPermutation(order []int, n int) error {

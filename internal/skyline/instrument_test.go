@@ -53,7 +53,7 @@ func TestInstrumentCountsCompute(t *testing.T) {
 	if got := r.Counter(MetricBreakpointsTotal).Value(); got == 0 {
 		t.Errorf("%s = 0 after a Compute", MetricBreakpointsTotal)
 	}
-	if got := r.Timer(MetricComputeSeconds).Count(); got != 1 {
+	if got := r.Snapshot().Timers[MetricComputeSeconds].Count; got != 1 {
 		t.Errorf("%s count = %d, want 1", MetricComputeSeconds, got)
 	}
 }

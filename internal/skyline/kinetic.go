@@ -214,7 +214,7 @@ func (sc *Scratch) resolveFreedSpan(out Skyline, disks []geom.Disk, rm int, a, b
 	best := bestAtExcept(disks, rm, (a+b)/2, tie)
 	if geom.AngleSliver(a, b) {
 		// A sliver span cannot be subdivided meaningfully; hand it to the
-		// midpoint winner (Combine folds it into a neighbor) and flag.
+		// midpoint winner (combine folds it into a neighbor) and flag.
 		if tie != nil {
 			*tie = true
 		}

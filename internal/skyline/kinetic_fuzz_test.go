@@ -40,8 +40,8 @@ func benignSetSwap(disks []geom.Disk, got, want Skyline) bool {
 		probes = append(probes, (a.Start+a.End)/2)
 	}
 	for _, theta := range probes {
-		g := disks[got.DiskAt(theta)].RayDist(theta)
-		w := disks[want.DiskAt(theta)].RayDist(theta)
+		g := disks[got.diskAt(theta)].RayDist(theta)
+		w := disks[want.diskAt(theta)].RayDist(theta)
 		if math.Abs(g-w) > 4*geom.RhoEps*(1+math.Abs(w)) {
 			return false
 		}
@@ -162,7 +162,7 @@ func FuzzKineticRepair(f *testing.F) {
 				}
 				mid := (a.Start + a.End) / 2
 				got := disks[a.Disk].RayDist(mid)
-				want, _ := Rho(disks, mid)
+				want, _ := rho(disks, mid)
 				if math.Abs(got-want) > 1e-6*(1+want) {
 					t.Fatalf("op %d: envelope mismatch at θ=%v: %v vs max %v", op, mid, got, want)
 				}

@@ -35,7 +35,7 @@ func checkEnvelopeExcept(t *testing.T, label string, disks []geom.Disk, sl Skyli
 		probes = append(probes, (a.Start+a.End)/2)
 	}
 	for _, theta := range probes {
-		got := disks[sl.DiskAt(theta)].RayDist(theta)
+		got := disks[sl.diskAt(theta)].RayDist(theta)
 		want := math.Inf(-1)
 		for i, d := range disks {
 			if i == rm {

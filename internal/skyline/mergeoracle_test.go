@@ -21,6 +21,20 @@ import (
 // to it — not just envelope-equivalent — so the golden, instrumentation,
 // and parallel-identity suites keep their exact expectations.
 
+// merge combines two skylines over the same disk slice into the skyline
+// of the union of their disk sets, through the production mergeInto on a
+// pooled scratch, and returns a copy the caller owns. Both inputs must be
+// valid skylines (contiguous over [0, 2π)).
+func merge(disks []geom.Disk, s1, s2 Skyline) Skyline {
+	sc := getScratch()
+	out := mergeInto(sc.out[:0], sc, disks, s1, s2, skyInstr.Load(), nil)
+	sc.out = out
+	owned := make(Skyline, len(out))
+	copy(owned, out)
+	putScratch(sc)
+	return owned
+}
+
 // mergeSortOracle is the old Step 1: collect both skylines' start angles,
 // sort, dedupe, anchor at 0, then resolve spans exactly like the
 // production code. Intentionally allocation-heavy.
@@ -64,7 +78,7 @@ func mergeSortOracle(disks []geom.Disk, s1, s2 Skyline) Skyline {
 	}
 	out[0].Start = 0
 	out[len(out)-1].End = geom.TwoPi
-	return out.Combine()
+	return out.combine()
 }
 
 // computeSortOracle is the old recursive divide-and-conquer built on
@@ -232,7 +246,7 @@ func TestLinearMergeMatchesSortOracleFuzzSeeds(t *testing.T) {
 	}
 }
 
-// The public Merge must match the oracle merge on arbitrary skyline pairs.
+// merge must match the oracle merge on arbitrary skyline pairs.
 func TestPublicMergeMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	for trial := 0; trial < 30; trial++ {
@@ -241,6 +255,6 @@ func TestPublicMergeMatchesSortOracle(t *testing.T) {
 		half := 1 + rng.Intn(n-1)
 		sa := computeRange(disks, 0, half)
 		sb := computeRange(disks, half, n)
-		requireSameSkyline(t, "merge", Merge(disks, sa, sb), mergeSortOracle(disks, sa, sb))
+		requireSameSkyline(t, "merge", merge(disks, sa, sb), mergeSortOracle(disks, sa, sb))
 	}
 }

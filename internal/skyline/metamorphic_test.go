@@ -85,7 +85,7 @@ func TestMetamorphicPermutation(t *testing.T) {
 // original indices, so envelope helpers can evaluate it on the original
 // disk slice. perm[newIdx] = oldIdx.
 func permutedBack(s Skyline, perm []int) Skyline {
-	out := s.Clone()
+	out := append(Skyline(nil), s...)
 	for i := range out {
 		out[i].Disk = perm[out[i].Disk]
 	}

@@ -12,6 +12,9 @@ import (
 // the winning disk on each elementary interval by evaluating the envelope
 // at its midpoint. It runs in O(n² log n) and serves as the reference
 // oracle for the divide-and-conquer algorithm in the test suite.
+//
+// Test support: the skyline tests and the engine's differential tests
+// check against it; no production code calls it.
 func ComputeNaive(disks []geom.Disk) (Skyline, error) {
 	if err := checkLocal(disks); err != nil {
 		return nil, err
@@ -36,17 +39,17 @@ func ComputeNaive(disks []geom.Disk) (Skyline, error) {
 		if geom.AngleSliver(a, b) {
 			continue
 		}
-		_, win := Rho(disks, (a+b)/2)
+		_, win := rho(disks, (a+b)/2)
 		out = append(out, Arc{Start: a, End: b, Disk: win})
 	}
 	if len(out) == 0 {
 		// All breakpoints collapsed (e.g. duplicate disks only): single arc.
-		_, win := Rho(disks, 1.0)
+		_, win := rho(disks, 1.0)
 		out = single(win)
 	}
 	out[0].Start = 0
 	out[len(out)-1].End = geom.TwoPi
-	return out.Combine(), nil
+	return out.combine(), nil
 }
 
 // dedupeAngles removes angles closer than AngleEps to their predecessor.

@@ -36,7 +36,7 @@ func TestQuickEnvelopeIsMax(t *testing.T) {
 			return false
 		}
 		theta := geom.NormalizeAngle(rawTheta)
-		want, _ := Rho(disks, theta)
+		want, _ := rho(disks, theta)
 		got := envelopeValue(disks, s, theta)
 		return math.Abs(got-want) <= 1e-6*(1+want)
 	}

@@ -8,6 +8,14 @@ import (
 	"repro/internal/geom"
 )
 
+// radialDistance returns ρ(θ): the distance from the hub to the union's
+// boundary along the ray at angle theta, read off the skyline in
+// O(log n). disks must be the slice the skyline was computed over (hub
+// frame).
+func (s Skyline) radialDistance(disks []geom.Disk, theta float64) float64 {
+	return disks[s.diskAt(theta)].RayDist(geom.NormalizeAngle(theta))
+}
+
 func TestRadialDistanceMatchesRho(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
 	disks := randomLocalSet(rng, 20)
@@ -17,133 +25,14 @@ func TestRadialDistanceMatchesRho(t *testing.T) {
 	}
 	for k := 0; k < 500; k++ {
 		theta := rng.Float64() * geom.TwoPi
-		got := sl.RadialDistance(disks, theta)
-		want, _ := Rho(disks, theta)
+		got := sl.radialDistance(disks, theta)
+		want, _ := rho(disks, theta)
 		if math.Abs(got-want) > 1e-6*(1+want) {
-			t.Fatalf("RadialDistance(%v) = %v, Rho = %v", theta, got, want)
+			t.Fatalf("radialDistance(%v) = %v, Rho = %v", theta, got, want)
 		}
 	}
 	// Angles outside [0, 2π) are normalized.
-	if got, want := sl.RadialDistance(disks, -1), sl.RadialDistance(disks, geom.TwoPi-1); math.Abs(got-want) > 1e-12 {
+	if got, want := sl.radialDistance(disks, -1), sl.radialDistance(disks, geom.TwoPi-1); math.Abs(got-want) > 1e-12 {
 		t.Errorf("normalization: %v vs %v", got, want)
-	}
-}
-
-func TestContainsMatchesDirectCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(502))
-	for trial := 0; trial < 20; trial++ {
-		disks := randomLocalSet(rng, 1+rng.Intn(15))
-		sl, err := Compute(disks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 200; k++ {
-			p := geom.Pt(rng.Float64()*8-4, rng.Float64()*8-4)
-			want := geom.UnionContains(disks, p)
-			got := sl.Contains(disks, p)
-			if got != want {
-				// Tolerance disagreements right on a boundary are fine.
-				onBoundary := false
-				for _, d := range disks {
-					if math.Abs(d.C.Dist(p)-d.R) < 1e-6 {
-						onBoundary = true
-					}
-				}
-				if !onBoundary {
-					t.Fatalf("trial %d: Contains(%v) = %v, direct check %v", trial, p, got, want)
-				}
-			}
-		}
-		if !sl.Contains(disks, geom.Pt(0, 0)) {
-			t.Fatal("the hub must be contained")
-		}
-	}
-}
-
-func TestPerimeterSingleDisk(t *testing.T) {
-	for _, d := range []geom.Disk{
-		geom.NewDisk(0, 0, 1),
-		geom.NewDisk(0.4, -0.2, 1.5),
-	} {
-		sl, err := Compute([]geom.Disk{d})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := sl.Perimeter([]geom.Disk{d})
-		want := geom.TwoPi * d.R
-		if math.Abs(got-want) > 1e-9*want {
-			t.Errorf("Perimeter(%v) = %.12f, want %.12f", d, got, want)
-		}
-	}
-}
-
-func TestPerimeterTwoDisksClosedForm(t *testing.T) {
-	// Two unit circles at center distance 1: each keeps the arc outside
-	// the other. The excluded arc has central angle 2·acos(d/2)... for
-	// r = 1, d = 1: half-angle = acos(1/2)·... The chord subtends central
-	// angle 2·acos(d/(2r)) = 2·acos(0.5) = 2π/3 at each circle, so each
-	// contributes 2π − 2π/3 = 4π/3 of boundary.
-	disks := []geom.Disk{geom.NewDisk(-0.5, 0, 1), geom.NewDisk(0.5, 0, 1)}
-	sl, err := Compute(disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sl.Perimeter(disks)
-	want := 2 * (geom.TwoPi - 2*math.Acos(0.5))
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("Perimeter = %.12f, want %.12f", got, want)
-	}
-}
-
-// The perimeter of a union is at most the sum of the circumferences and at
-// least the largest circumference... the latter is false in general for
-// unions, but for star-shaped unions of disks all containing the hub the
-// boundary is a single closed curve enclosing the largest disk, so its
-// length is at least that disk's circumference is ALSO not guaranteed;
-// use the isoperimetric bound instead: perimeter² ≥ 4π·area.
-func TestPerimeterBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(503))
-	for trial := 0; trial < 30; trial++ {
-		disks := randomLocalSet(rng, 1+rng.Intn(20))
-		sl, err := Compute(disks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		per := sl.Perimeter(disks)
-		var sum float64
-		for _, d := range disks {
-			sum += geom.TwoPi * d.R
-		}
-		if per > sum+1e-9 {
-			t.Fatalf("trial %d: perimeter %v exceeds total circumference %v", trial, per, sum)
-		}
-		area := sl.Area(disks)
-		if per*per < 4*math.Pi*area-1e-6 {
-			t.Fatalf("trial %d: isoperimetric inequality violated: P²=%v < 4πA=%v",
-				trial, per*per, 4*math.Pi*area)
-		}
-	}
-}
-
-func TestBoundaryPoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(504))
-	disks := randomLocalSet(rng, 10)
-	sl, err := Compute(disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 100; k++ {
-		theta := rng.Float64() * geom.TwoPi
-		p := sl.BoundaryPoint(disks, theta)
-		// The point lies on the boundary circle of the owning disk.
-		d := disks[sl.DiskAt(theta)]
-		if !d.OnBoundary(p) {
-			t.Fatalf("BoundaryPoint(%v) = %v not on disk %v", theta, p, d)
-		}
-		// And slightly beyond it is outside the whole union.
-		beyond := p.Scale(1 + 1e-4)
-		if geom.UnionContains(disks, beyond) {
-			t.Fatalf("point beyond the boundary at θ=%v is still inside", theta)
-		}
 	}
 }

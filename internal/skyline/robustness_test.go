@@ -155,8 +155,8 @@ func TestRobustLargeRandomStress(t *testing.T) {
 		// Spot-check the envelope.
 		for k := 0; k < 200; k++ {
 			theta := rng.Float64() * geom.TwoPi
-			got := sl.RadialDistance(disks, theta)
-			want, _ := Rho(disks, theta)
+			got := sl.radialDistance(disks, theta)
+			want, _ := rho(disks, theta)
 			if math.Abs(got-want) > 1e-6*(1+want) {
 				t.Fatalf("n=%d: envelope mismatch at θ=%v", n, theta)
 			}

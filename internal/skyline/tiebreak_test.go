@@ -20,11 +20,11 @@ func TestRhoTieBreakWithinRhoEps(t *testing.T) {
 	big := geom.Disk{C: geom.Pt(0, 0), R: 1 + geom.RhoEps/2}
 	small := geom.Disk{C: geom.Pt(0, 0), R: 1}
 
-	_, arg := Rho([]geom.Disk{small, big}, 0.7)
+	_, arg := rho([]geom.Disk{small, big}, 0.7)
 	if arg != 1 {
 		t.Errorf("tie at θ=0.7 went to disk %d, want 1 (larger radius)", arg)
 	}
-	_, arg = Rho([]geom.Disk{big, small}, 0.7)
+	_, arg = rho([]geom.Disk{big, small}, 0.7)
 	if arg != 0 {
 		t.Errorf("tie with order swapped went to disk %d, want 0 (larger radius)", arg)
 	}
@@ -37,7 +37,7 @@ func TestRhoTieBreakWithinRhoEps(t *testing.T) {
 func TestRhoTieBreakLowerIndexOnEqualRadius(t *testing.T) {
 	d := geom.Disk{C: geom.Pt(0.3, 0.1), R: 1.5}
 	for _, theta := range []float64{0, 1, 2.5, 4, 6} {
-		if _, arg := Rho([]geom.Disk{d, d, d}, theta); arg != 0 {
+		if _, arg := rho([]geom.Disk{d, d, d}, theta); arg != 0 {
 			t.Errorf("θ=%g: duplicate-disk tie went to %d, want 0 (lowest index)", theta, arg)
 		}
 	}
@@ -54,7 +54,7 @@ func TestRhoBeyondRhoEpsIsNotATie(t *testing.T) {
 	// small disk so its far boundary at θ=0 sticks out past the big one.
 	small := geom.Disk{C: geom.Pt(3*geom.RhoEps, 0), R: 1}
 	// ρ_small(0) = 1 + 3·RhoEps > ρ_big(0) + RhoEps.
-	_, arg := Rho([]geom.Disk{big, small}, 0)
+	_, arg := rho([]geom.Disk{big, small}, 0)
 	if arg != 1 {
 		t.Errorf("clear winner lost to the tie-break: arg = %d, want 1", arg)
 	}
@@ -72,7 +72,7 @@ func TestWinnerAgreesWithRho(t *testing.T) {
 		{C: geom.Pt(0, 0), R: 1 + geom.RhoEps}, // ties with 0 and 1, larger R
 	}
 	for _, theta := range []float64{0, 0.9, 2, 3.7, 5.5} {
-		_, want := Rho(disks, theta)
+		_, want := rho(disks, theta)
 		got := 0
 		for i := 1; i < len(disks); i++ {
 			got = winner(disks, got, i, theta)

@@ -19,7 +19,6 @@ type Grid struct {
 	cell    float64
 	pts     []geom.Point
 	indexed []bool
-	n       int
 	cells   map[cellKey][]int
 }
 
@@ -35,7 +34,6 @@ func NewGrid(pts []geom.Point, cell float64) *Grid {
 		cell:    cell,
 		pts:     append([]geom.Point(nil), pts...),
 		indexed: make([]bool, len(pts)),
-		n:       len(pts),
 		cells:   make(map[cellKey][]int, len(pts)),
 	}
 	for i, p := range pts {
@@ -49,9 +47,6 @@ func NewGrid(pts []geom.Point, cell float64) *Grid {
 func (g *Grid) key(p geom.Point) cellKey {
 	return cellKey{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
 }
-
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return g.n }
 
 // NumCells returns the number of occupied cells, len(Cells()) in O(1).
 func (g *Grid) NumCells() int { return len(g.cells) }
@@ -75,7 +70,6 @@ func (g *Grid) Insert(i int, p geom.Point) {
 	}
 	g.pts[i] = p
 	g.indexed[i] = true
-	g.n++
 	k := g.key(p)
 	g.cells[k] = append(g.cells[k], i)
 }
@@ -85,7 +79,6 @@ func (g *Grid) Remove(i int) {
 	g.mustIndexed(i)
 	g.unlink(i, g.key(g.pts[i]))
 	g.indexed[i] = false
-	g.n--
 }
 
 // Move relocates point i to p, updating the index. The grid stores its
@@ -147,6 +140,9 @@ func (g *Grid) Cells() [][]int {
 // Within returns the indices of all points p with ‖p − q‖ ≤ radius
 // (accepting boundary points the way geom.LinkWithin does), in
 // unspecified order.
+//
+// Test support: the engine's adversarial tests query the grid with it;
+// production code calls VisitWithin.
 func (g *Grid) Within(q geom.Point, radius float64) []int {
 	var out []int
 	g.VisitWithin(q, radius, func(i int) {

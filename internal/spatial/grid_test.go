@@ -43,9 +43,6 @@ func TestWithinAgainstBruteForce(t *testing.T) {
 func TestWithinEdgeCases(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)}
 	g := NewGrid(pts, 1)
-	if g.Len() != 3 {
-		t.Errorf("Len = %d", g.Len())
-	}
 	// Radius 0 returns only coincident points.
 	got := g.Within(geom.Pt(0, 0), 0)
 	if len(got) != 1 || got[0] != 0 {
@@ -105,9 +102,6 @@ func TestWithinBoundaryDistanceAgreesWithLinkPredicate(t *testing.T) {
 
 func TestEmptyGrid(t *testing.T) {
 	g := NewGrid(nil, 1)
-	if g.Len() != 0 {
-		t.Errorf("Len = %d", g.Len())
-	}
 	if got := g.Within(geom.Pt(0, 0), 10); got != nil {
 		t.Errorf("query on empty grid = %v", got)
 	}
@@ -209,9 +203,6 @@ func TestInsertRemoveMatchesBruteForce(t *testing.T) {
 			g.Move(i, p)
 			live[i] = p
 		}
-	}
-	if g.Len() != len(live) {
-		t.Fatalf("Len = %d, want %d", g.Len(), len(live))
 	}
 	seen := 0
 	for _, cell := range g.Cells() {

@@ -34,9 +34,6 @@ func (s *Summary) Add(x float64) {
 	s.everyValue = true
 }
 
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
 // Mean returns the sample mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
 
@@ -50,12 +47,6 @@ func (s *Summary) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation (0 for an empty summary).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty summary).
-func (s *Summary) Max() float64 { return s.max }
 
 // StdErr returns the standard error of the mean.
 func (s *Summary) StdErr() float64 {
@@ -76,7 +67,6 @@ func (s *Summary) String() string {
 // y-axis the number of random point sets.
 type Histogram struct {
 	counts map[int]int
-	total  int
 }
 
 // NewHistogram returns an empty histogram.
@@ -87,46 +77,10 @@ func NewHistogram() *Histogram {
 // Add counts one observation of value v.
 func (h *Histogram) Add(v int) {
 	h.counts[v]++
-	h.total++
 }
 
 // Count returns the number of observations with value v.
 func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Support returns the observed values in increasing order.
-func (h *Histogram) Support() []int {
-	out := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Mean returns the mean of the observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	sum := 0
-	for v, c := range h.counts {
-		sum += v * c
-	}
-	return float64(sum) / float64(h.total)
-}
-
-// Mode returns the most frequent value (smallest on ties) and its count.
-func (h *Histogram) Mode() (value, count int) {
-	for _, v := range h.Support() {
-		if h.counts[v] > count {
-			value, count = v, h.counts[v]
-		}
-	}
-	return value, count
-}
 
 // Quantile returns the q-th sample quantile (0 ≤ q ≤ 1) of the data using
 // linear interpolation between order statistics (type-7, the R/NumPy
@@ -151,9 +105,6 @@ func Quantile(data []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 0.5 quantile.
-func Median(data []float64) float64 { return Quantile(data, 0.5) }
-
 // Table renders rows of columns into an aligned plain-text table.
 type Table struct {
 	header []string
@@ -172,17 +123,6 @@ func (t *Table) AddRow(cells ...string) {
 		cells = cells[:len(t.header)]
 	}
 	t.rows = append(t.rows, cells)
-}
-
-// AddFloatRow appends a row of floats formatted with %.3f after a leading
-// label cell.
-func (t *Table) AddFloatRow(label string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf("%.3f", v))
-	}
-	t.AddRow(cells...)
 }
 
 // String renders the table.

@@ -13,9 +13,6 @@ func TestSummaryKnownValues(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
-	}
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %v, want 5", s.Mean())
 	}
@@ -24,8 +21,8 @@ func TestSummaryKnownValues(t *testing.T) {
 	if math.Abs(s.Var()-32.0/7.0) > 1e-12 {
 		t.Errorf("Var = %v, want 32/7", s.Var())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
+	if !strings.Contains(s.String(), "min=2 max=9") {
+		t.Errorf("String = %q, want min=2 max=9", s.String())
 	}
 	if s.StdErr() <= 0 {
 		t.Error("StdErr must be positive")
@@ -41,7 +38,7 @@ func TestSummaryEmptyAndSingle(t *testing.T) {
 		t.Error("empty summary must be all zeros")
 	}
 	s.Add(3)
-	if s.Mean() != 3 || s.Var() != 0 || s.Min() != 3 || s.Max() != 3 {
+	if s.Mean() != 3 || s.Var() != 0 || !strings.Contains(s.String(), "min=3 max=3") {
 		t.Error("single-sample summary wrong")
 	}
 }
@@ -87,33 +84,15 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int{3, 5, 3, 7, 3, 5} {
 		h.Add(v)
 	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
-	}
 	if h.Count(3) != 3 || h.Count(5) != 2 || h.Count(7) != 1 || h.Count(99) != 0 {
 		t.Error("counts wrong")
-	}
-	sup := h.Support()
-	if len(sup) != 3 || sup[0] != 3 || sup[1] != 5 || sup[2] != 7 {
-		t.Errorf("Support = %v", sup)
-	}
-	if math.Abs(h.Mean()-26.0/6.0) > 1e-12 {
-		t.Errorf("Mean = %v", h.Mean())
-	}
-	v, c := h.Mode()
-	if v != 3 || c != 3 {
-		t.Errorf("Mode = (%d, %d)", v, c)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.Total() != 0 || len(h.Support()) != 0 {
+	if h.Count(3) != 0 || h.Count(0) != 0 {
 		t.Error("empty histogram must be zeroed")
-	}
-	v, c := h.Mode()
-	if v != 0 || c != 0 {
-		t.Errorf("empty Mode = (%d, %d)", v, c)
 	}
 }
 
@@ -126,7 +105,7 @@ func TestQuantile(t *testing.T) {
 		t.Errorf("q1 = %v, want 9", got)
 	}
 	// Sorted: 1 1 2 3 4 5 6 9; median = (3+4)/2.
-	if got := Median(data); got != 3.5 {
+	if got := Quantile(data, 0.5); got != 3.5 {
 		t.Errorf("median = %v, want 3.5", got)
 	}
 	// The input must not be reordered.
@@ -172,7 +151,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("degree", "flooding", "skyline")
-	tb.AddFloatRow("10", 10.0, 5.5)
+	tb.AddRow("10", "10.000", "5.500")
 	tb.AddRow("20", "20.000")     // short row: last cell empty
 	tb.AddRow("x", "1", "2", "3") // long row: extra cell dropped
 	out := tb.String()

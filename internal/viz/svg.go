@@ -71,14 +71,6 @@ func (c *Canvas) Line(p, q geom.Point, stroke string, width float64) {
 		p.X, -p.Y, q.X, -q.Y, stroke, width))
 }
 
-// Text places a label at p.
-func (c *Canvas) Text(p geom.Point, s string, size float64) {
-	c.grow(p.X, p.Y, 0.3)
-	c.elems = append(c.elems, fmt.Sprintf(
-		`<text x="%.4f" y="%.4f" font-size="%.3f" font-family="monospace">%s</text>`,
-		p.X, -p.Y, size, escape(s)))
-}
-
 // Arc draws the circular arc of disk d between the hub-frame angles
 // [a1, a2] (the skyline parameterization: angles measured at the hub, not
 // at the disk's center). hub is the hub position in world coordinates.

